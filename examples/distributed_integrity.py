@@ -18,16 +18,14 @@ from repro import DistributedChecker, employee_workload
 from repro.core import CheckLevel
 
 
-def run_protocol(covered_fraction: float, use_datalog: bool = False):
+def run_protocol(covered_fraction: float):
     workload = employee_workload(
         initial_employees=150,
         num_updates=120,
         covered_fraction=covered_fraction,
         seed=11,
     )
-    checker = DistributedChecker(
-        workload.constraints, workload.sites, use_interval_datalog=use_datalog
-    )
+    checker = DistributedChecker(workload.constraints, workload.sites)
     for update in workload.updates:
         checker.process(update)
     return workload, checker

@@ -25,7 +25,7 @@ fast:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.arith.solver import ComparisonSystem
 from repro.datalog.atoms import Comparison
@@ -71,18 +71,43 @@ def implies_disjunction(
     # Order disjuncts by ascending width to fail fast.
     negated.sort(key=len)
 
-    def all_branches_unsat(index: int, current: ComparisonSystem) -> bool:
-        if prune and not current.is_satisfiable():
-            return True  # whole subtree dead
-        if index == len(negated):
-            return not current.is_satisfiable()
-        for literal in negated[index]:
-            extended = current.copy().add(literal)
-            if not all_branches_unsat(index + 1, extended):
-                return False
-        return True
+    return next(_open_branches(system, negated, prune), None) is None
 
-    return all_branches_unsat(0, system)
+
+def _open_branches(
+    system: ComparisonSystem,
+    negated: Sequence[Sequence[Comparison]],
+    prune: bool = True,
+) -> Iterator[ComparisonSystem]:
+    """Yield every satisfiable full branch of the DNF search, depth first.
+
+    A branch extends *system* with one literal of each ``negated[i]``, in
+    index order, each step on a fresh copy.  With *prune*, a satisfiable
+    check at every prefix cuts its dead subtree.  The search keeps an
+    explicit stack of literal iterators instead of recursing, so the
+    depth (one level per disjunct) is not bounded by the interpreter's
+    recursion limit.
+    """
+    if not negated:
+        if system.is_satisfiable():
+            yield system
+        return
+    systems = [system]
+    choices = [iter(negated[0])]
+    while choices:
+        literal = next(choices[-1], None)
+        if literal is None:
+            choices.pop()
+            systems.pop()
+            continue
+        extended = systems[-1].copy().add(literal)
+        depth = len(choices)
+        if depth == len(negated):
+            if extended.is_satisfiable():
+                yield extended
+        elif not prune or extended.is_satisfiable():
+            systems.append(extended)
+            choices.append(iter(negated[depth]))
 
 
 def refuting_model(
@@ -105,18 +130,8 @@ def refuting_model(
     ]
     negated.sort(key=len)
 
-    def search(index: int, current: ComparisonSystem):
-        if not current.is_satisfiable():
-            return None
-        if index == len(negated):
-            return current.model()
-        for literal in negated[index]:
-            model = search(index + 1, current.copy().add(literal))
-            if model is not None:
-                return model
-        return None
-
-    return search(0, system)
+    branch = next(_open_branches(system, negated), None)
+    return None if branch is None else branch.model()
 
 
 def equivalent_systems(a: Sequence[Comparison], b: Sequence[Comparison]) -> bool:

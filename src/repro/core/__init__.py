@@ -1,9 +1,9 @@
 """The top-level partial-information checking engine.
 
 Split compile/execute architecture: :class:`ConstraintCompiler` performs
-all update- and database-independent analysis once; the stateless
-:class:`PartialInfoChecker` facade and the stateful, stream-oriented
-:class:`CheckSession` both execute against the compiled form.
+all update- and database-independent analysis once; :class:`CheckSession`
+runs the level pipeline against the compiled form, and the per-call
+:class:`PartialInfoChecker` facade drives a throwaway session per call.
 """
 
 from repro.core.compiler import CompiledConstraint, ConstraintCompiler, LocalTestPlan, LRUCache

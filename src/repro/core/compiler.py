@@ -15,10 +15,10 @@ the concrete update values is decided here, ahead of any checking:
   a bounded LRU keyed by the exact update, with hit/miss accounting —
   update streams repeat shapes, and the verdict is database-independent.
 
-The execution half lives in :class:`~repro.core.session.CheckSession`
-(stateful, stream-oriented) and the thin
-:class:`~repro.core.engine.PartialInfoChecker` facade (stateless,
-per-call databases).
+The execution half — the level pipeline — lives in
+:class:`~repro.core.session.CheckSession`; the per-call
+:class:`~repro.core.engine.PartialInfoChecker` facade runs a throwaway
+session per call.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from repro.datalog.rules import Rule
 from repro.localtests.algebraic import AlgebraicLocalTest
 from repro.localtests.complete import complete_local_test_insertion
 from repro.localtests.icq import analyze_icq, box_local_test, interval_local_test
-from repro.localtests.interval_datalog import IntervalDatalogTest
 from repro.localtests.reduction import check_cqc_form
 from repro.updates.independence import cannot_cause_violation
 from repro.updates.update import Update
@@ -181,9 +180,9 @@ class LocalTestPlan:
     """The precompiled complete local test for one (constraint, predicate).
 
     ``kind`` is one of ``"none"``, ``"algebraic"``, ``"interval"``,
-    ``"interval-datalog"``, ``"box"``, ``"containment"``, or
-    ``"union-containment"``; :meth:`run` executes the corresponding test
-    against concrete inserted values and the stored local relation.
+    ``"box"``, ``"containment"``, or ``"union-containment"``;
+    :meth:`run` executes the corresponding test against concrete
+    inserted values and the stored local relation.
     """
 
     kind: str
@@ -191,7 +190,6 @@ class LocalTestPlan:
     rule: Optional[Rule] = None
     algebraic_test: Optional[AlgebraicLocalTest] = None
     analysis: object = None
-    interval_test: Optional[IntervalDatalogTest] = None
     assumed: Sequence[Rule] = ()
     #: for union constraints: (disjunct, assumed-companions) pairs
     union_parts: Sequence[tuple[Rule, Sequence[Rule]]] = ()
@@ -204,8 +202,6 @@ class LocalTestPlan:
             return self.algebraic_test.passes(values, relation)
         if self.kind == "interval":
             return interval_local_test(self.analysis, values, relation)
-        if self.kind == "interval-datalog":
-            return self.interval_test.passes(values, relation)
         if self.kind == "box":
             return box_local_test(self.analysis, values, relation)
         if self.kind == "containment":
@@ -258,10 +254,9 @@ class CompiledConstraint:
 class ConstraintCompiler:
     """Compile a constraint set for a site once; execute many times.
 
-    Parameters mirror the old ``PartialInfoChecker`` constructor: the
-    constraint set (assumed to hold initially), the predicates stored at
-    this site, and whether single-variable ICQs should run the generated
-    Fig. 6.1 datalog program instead of the direct interval algebra.
+    Parameters: the constraint set (assumed to hold initially), the
+    predicates stored at this site, the level-1 cache bound, and the
+    optional federation placement.
 
     One compiler may be shared by sessions running on several threads
     (the parallel sharded checker does exactly that): the static
@@ -277,7 +272,6 @@ class ConstraintCompiler:
         self,
         constraints: ConstraintSet | Iterable[Constraint],
         local_predicates: Iterable[str],
-        use_interval_datalog: bool = False,
         level1_cache_size: int = LEVEL1_CACHE_SIZE,
         site_of: SitePlacement = None,
     ) -> None:
@@ -285,7 +279,6 @@ class ConstraintCompiler:
             constraints = ConstraintSet(constraints)
         self.constraints = constraints
         self.local_predicates = frozenset(local_predicates)
-        self.use_interval_datalog = use_interval_datalog
         self.level1_cache_size = level1_cache_size
         #: the federation placement (predicate -> owning remote site name,
         #: None for local); with no placement every non-local predicate is
@@ -484,14 +477,6 @@ class ConstraintCompiler:
                 for arg in atom.args
             )
             if remote_args_ok and analysis.single_variable is not None:
-                if self.use_interval_datalog:
-                    return LocalTestPlan(
-                        "interval-datalog",
-                        predicate,
-                        rule=rule,
-                        analysis=analysis,
-                        interval_test=IntervalDatalogTest(analysis),
-                    )
                 return LocalTestPlan(
                     "interval", predicate, rule=rule, analysis=analysis
                 )
@@ -582,20 +567,4 @@ class ConstraintCompiler:
             return "subsumed"
         if self.is_local_constraint(constraint):
             return "purely-local"
-        if not constraint.is_single_rule:
-            try:
-                disjuncts = constraint.as_union()
-            except ReproError:
-                return "none"
-            for disjunct in disjuncts:
-                if predicate not in {a.predicate for a in disjunct.ordinary_subgoals}:
-                    continue
-                try:
-                    check_cqc_form(disjunct, predicate)
-                except NotApplicableError:
-                    return "none"
-            return "union-containment"
-        plan = self.local_test_plan(constraint, predicate)
-        if plan.kind == "interval-datalog":
-            return "interval"
-        return plan.kind
+        return self.local_test_plan(constraint, predicate).kind

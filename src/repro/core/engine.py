@@ -1,6 +1,7 @@
-"""The partial-information constraint checker: the paper's pipeline.
+"""The partial-information constraint checker: a per-call facade.
 
-:class:`PartialInfoChecker` orchestrates the three information levels of
+:class:`PartialInfoChecker` checks one update at a time against
+caller-supplied databases, using the three information levels of
 Section 2 for a set of constraints at a site that owns the *local*
 predicates:
 
@@ -20,11 +21,13 @@ Every stage is *correct* (YES really means satisfied) and level 2 is
 *complete* (an UNKNOWN really does leave room for a violating remote
 state), as the test suite verifies against exhaustive ground truth.
 
-The class is a thin stateless facade: all static analysis lives in
-:class:`~repro.core.compiler.ConstraintCompiler` (built once in the
-constructor), and callers that process update *streams* should prefer
-:class:`~repro.core.session.CheckSession`, which shares the same compiled
-core but additionally maintains materializations incrementally.
+The levels themselves live in one place,
+:class:`~repro.core.session.CheckSession`.  This class only holds the
+compiled constraint set (:class:`~repro.core.compiler.ConstraintCompiler`,
+built once in the constructor) and runs each call through a throwaway
+session over a copy of the caller's local database; callers that process
+update *streams* should keep a session of their own, which maintains
+materializations incrementally across updates.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ from typing import Iterable, Optional
 
 from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.core.compiler import ConstraintCompiler
-from repro.core.outcomes import CheckLevel, CheckReport, Outcome
+from repro.core.outcomes import CheckLevel, CheckReport
+from repro.core.session import CheckSession
 from repro.datalog.database import Database
-from repro.updates.update import Insertion, Modification, Update
+from repro.updates.update import Update
 
 __all__ = ["PartialInfoChecker"]
 
@@ -49,10 +53,6 @@ class PartialInfoChecker:
         The constraint set, all assumed to hold initially.
     local_predicates:
         The predicates stored at this site.  Everything else is remote.
-    use_interval_datalog:
-        When True, single-variable ICQs run the generated Fig. 6.1
-        datalog program instead of the direct interval algebra (slower,
-        but exercises the Theorem 6.1 artifact; the two are equivalent).
     site_of:
         Optional federation placement (predicate -> owning remote site
         name, ``None`` for local) recorded per compiled constraint as
@@ -63,22 +63,33 @@ class PartialInfoChecker:
         self,
         constraints: ConstraintSet | Iterable[Constraint],
         local_predicates: Iterable[str],
-        use_interval_datalog: bool = False,
         site_of=None,
     ) -> None:
         self.compiler = ConstraintCompiler(
-            constraints, local_predicates, use_interval_datalog, site_of=site_of
+            constraints, local_predicates, site_of=site_of
         )
         self.constraints = self.compiler.constraints
         self.local_predicates = self.compiler.local_predicates
-        self.use_interval_datalog = use_interval_datalog
-
-    # -- helpers ---------------------------------------------------------------
-    def is_local_constraint(self, constraint: Constraint) -> bool:
-        """True when the constraint reads only local predicates."""
-        return self.compiler.is_local_constraint(constraint)
 
     # -- the pipeline -----------------------------------------------------------
+    def check(
+        self,
+        update: Update,
+        local_db: Database,
+        remote_db: Optional[Database] = None,
+        max_level: CheckLevel = CheckLevel.FULL_DATABASE,
+    ) -> list[CheckReport]:
+        """Run the level pipeline for every constraint; reports in set order.
+
+        ``local_db`` holds the local relations *before* the update and is
+        left untouched; ``remote_db`` (optional) enables the level-3
+        fallback.  The pipeline is a throwaway
+        :class:`~repro.core.session.CheckSession` over a copy of
+        ``local_db`` sharing this checker's compiled constraints.
+        """
+        session = CheckSession(compiler=self.compiler, local_db=local_db.copy())
+        return session.check(update, remote_db, max_level)
+
     def check_constraint(
         self,
         constraint: Constraint,
@@ -87,103 +98,11 @@ class PartialInfoChecker:
         remote_db: Optional[Database] = None,
         max_level: CheckLevel = CheckLevel.FULL_DATABASE,
     ) -> CheckReport:
-        """Run the level pipeline for one constraint and one update.
-
-        ``local_db`` holds the local relations *before* the update;
-        ``remote_db`` (optional) enables the level-3 fallback.
-        """
-        compiler = self.compiler
-
-        if not compiler.mentions(constraint, update.predicate):
-            return CheckReport(
-                constraint.name, Outcome.SATISFIED, CheckLevel.CONSTRAINTS_ONLY,
-                remote_accessed=False, detail="update predicate not mentioned",
-            )
-
-        # Level 0: subsumption by the other constraints.
-        if compiler.compiled(constraint).subsumed:
-            return CheckReport(
-                constraint.name, Outcome.SATISFIED, CheckLevel.CONSTRAINTS_ONLY,
-                remote_accessed=False, detail="subsumed by other constraints",
-            )
-        if max_level < CheckLevel.WITH_UPDATE:
-            return CheckReport(
-                constraint.name, Outcome.UNKNOWN, CheckLevel.CONSTRAINTS_ONLY,
-                remote_accessed=False,
-            )
-
-        # Level 1: constraints + update.
-        if compiler.level1_verdict(constraint, update):
-            return CheckReport(
-                constraint.name, Outcome.SATISFIED, CheckLevel.WITH_UPDATE,
-                remote_accessed=False, detail="update-independence containment",
-            )
-        if max_level < CheckLevel.WITH_LOCAL_DATA:
-            return CheckReport(
-                constraint.name, Outcome.UNKNOWN, CheckLevel.WITH_UPDATE,
-                remote_accessed=False,
-            )
-
-        # Level 2: + local data.
-        if compiler.is_local_constraint(constraint):
-            # Purely local: evaluate outright — the one case a definite
-            # "no" is possible without remote data.
-            after = update.applied_copy(local_db)
-            outcome = Outcome.SATISFIED if constraint.holds(after) else Outcome.VIOLATED
-            return CheckReport(
-                constraint.name, outcome, CheckLevel.WITH_LOCAL_DATA,
-                remote_accessed=False, detail="constraint is purely local",
-            )
-        if update.predicate in self.local_predicates:
-            probe: Optional[Insertion] = None
-            if isinstance(update, Insertion):
-                probe = update
-            elif isinstance(update, Modification):
-                # The deleted tuple still contributes its reduction: the
-                # constraint held while it was stored, so its forbidden
-                # region is known clear — test the new tuple against the
-                # FULL pre-update relation.
-                probe = update.insertion
-            if probe is not None:
-                plan = compiler.local_test_plan(constraint, update.predicate)
-                result = plan.run_against(
-                    probe.values, local_db, constraint.name
-                )
-                if result is True:
-                    return CheckReport(
-                        constraint.name, Outcome.SATISFIED, CheckLevel.WITH_LOCAL_DATA,
-                        remote_accessed=False, detail="complete local test",
-                    )
-        if max_level < CheckLevel.FULL_DATABASE or remote_db is None:
-            return CheckReport(
-                constraint.name, Outcome.UNKNOWN, CheckLevel.WITH_LOCAL_DATA,
-                remote_accessed=False,
-            )
-
-        # Level 3: the full database.
-        merged = local_db.copy()
-        for predicate in remote_db.predicates():
-            for fact in remote_db.facts(predicate):
-                merged.insert(predicate, fact)
-        after = update.applied_copy(merged)
-        outcome = Outcome.SATISFIED if constraint.holds(after) else Outcome.VIOLATED
-        return CheckReport(
-            constraint.name, outcome, CheckLevel.FULL_DATABASE,
-            remote_accessed=True, detail="full evaluation",
-        )
-
-    def check(
-        self,
-        update: Update,
-        local_db: Database,
-        remote_db: Optional[Database] = None,
-        max_level: CheckLevel = CheckLevel.FULL_DATABASE,
-    ) -> list[CheckReport]:
-        """Run the pipeline for every constraint; reports in set order."""
-        return [
-            self.check_constraint(constraint, update, local_db, remote_db, max_level)
-            for constraint in self.constraints
-        ]
+        """The report :meth:`check` gives for one constraint."""
+        for report in self.check(update, local_db, remote_db, max_level):
+            if report.constraint_name == constraint.name:
+                return report
+        raise KeyError(constraint.name)
 
     def explain(self, constraint: Constraint, predicate: str) -> str:
         """Describe the level-2 strategy an insertion into *predicate*

@@ -1,8 +1,11 @@
 """Incremental check sessions: the execute-many half of the pipeline.
 
 A :class:`CheckSession` owns the local database and processes a *stream*
-of updates against a compiled constraint set.  Across the stream it
-maintains state the stateless checker rebuilds per call:
+of updates against a compiled constraint set.  It is the one place the
+Section 2 level pipeline is written: the per-call
+:class:`~repro.core.engine.PartialInfoChecker` facade runs a throwaway
+session per call, and every distributed checker drives sessions of its
+own.  Across a stream it maintains state a throwaway session rebuilds:
 
 * one :class:`~repro.datalog.evaluation.Materialization` per purely-local
   constraint, kept current by delta maintenance instead of re-evaluating
@@ -13,11 +16,6 @@ maintains state the stateless checker rebuilds per call:
 * copy-on-write snapshots and :class:`~repro.datalog.database.Delta`
   application with undo tokens, so a rejected update rolls back in time
   proportional to the update, not the database.
-
-Every update flows through the same Section 2 level pipeline as
-:class:`~repro.core.engine.PartialInfoChecker` and produces identical
-:class:`~repro.core.outcomes.CheckReport` verdicts — the facade and the
-session are two drivers over one compiled core.
 
 Two batching layers sit on top of the per-update pipeline:
 
@@ -295,7 +293,6 @@ class CheckSession:
         constraints: ConstraintSet | Iterable[Constraint] | None = None,
         local_predicates: Optional[Iterable[str]] = None,
         local_db: Optional[Database] = None,
-        use_interval_datalog: bool = False,
         compiler: Optional[ConstraintCompiler] = None,
         apply_on_unknown: bool = True,
         max_materializations: Optional[int] = MATERIALIZATION_LIMIT,
@@ -309,7 +306,6 @@ class CheckSession:
             compiler = ConstraintCompiler(
                 constraints,
                 local_predicates if local_predicates is not None else (),
-                use_interval_datalog,
             )
         self.compiler = compiler
         self.constraints = compiler.constraints
@@ -481,7 +477,9 @@ class CheckSession:
                     probe = update.insertion
                 if probe is not None:
                     plan = self.compiler.local_test_plan(constraint, predicate)
-                    result = self._run_local_plan(plan, probe.values, name)
+                    # run_against pushes the test down to a backend
+                    # that executes compiled Theorem 5.3 tests itself.
+                    result = plan.run_against(probe.values, self.local_db, name)
                     if result is True:
                         reports[name] = CheckReport(
                             name, Outcome.SATISFIED, CheckLevel.WITH_LOCAL_DATA,
@@ -491,13 +489,6 @@ class CheckSession:
             pending_unknown.append((constraint, CheckLevel.WITH_LOCAL_DATA))
 
         return reports, pending_local, pending_unknown
-
-    def _run_local_plan(self, plan, values: tuple, constraint_name: str):
-        """Run one precompiled local test against this session's
-        database, pushing it down to the storage backend when the backend
-        executes compiled Theorem 5.3 tests itself (the SQLite backend's
-        indexed ``SELECT EXISTS``)."""
-        return plan.run_against(values, self.local_db, constraint_name)
 
     def _finish(
         self,
@@ -583,13 +574,7 @@ class CheckSession:
                     if callable(remote):
                         self.stats.remote_fetches += 1
             if remote_db is not None:
-                merged = self.local_db.copy()
-                for source in (peer_db, remote_db):
-                    if source is None:
-                        continue
-                    for pred in source.predicates():
-                        for fact in source.facts(pred):
-                            merged.insert(pred, fact)
+                merged = self._merged_with(peer_db, remote_db)
                 for constraint, _level in pending_unknown:
                     outcome = (
                         Outcome.SATISFIED
@@ -802,12 +787,8 @@ class CheckSession:
                 remaining.append((constraint, level))
         if not peer_pending:
             return remaining
-        peer_db = _fetch_remote(self.peer_source, needed)
+        merged = self._merged_with(_fetch_remote(self.peer_source, needed))
         self.stats.peer_fetches += 1
-        merged = self.local_db.copy()
-        for pred in peer_db.predicates():
-            for fact in peer_db.facts(pred):
-                merged.insert(pred, fact)
         for constraint, _level in peer_pending:
             outcome = (
                 Outcome.SATISFIED
@@ -819,6 +800,16 @@ class CheckSession:
                 remote_accessed=False, detail="cross-shard union view",
             )
         return remaining
+
+    def _merged_with(self, *sources: Optional[Database]) -> Database:
+        """A copy of the local database with every fact of *sources*."""
+        merged = self.local_db.copy()
+        for source in sources:
+            if source is not None:
+                for pred in source.predicates():
+                    for fact in source.facts(pred):
+                        merged.insert(pred, fact)
+        return merged
 
     def _next_seq(self) -> int:
         if self._seq_source is not None:
@@ -1035,16 +1026,6 @@ class CheckSession:
                 self.local_db, entry.token, self._materializations.values()
             )
         return None
-
-    def _settle_head(
-        self,
-        remote: RemoteSource,
-        max_level: CheckLevel,
-        quarantined: dict[int, UndoToken],
-    ) -> PendingVerdict:
-        """Fetch for and settle the oldest queued entry (see
-        :meth:`_settle_at`)."""
-        return self._settle_at(0, remote, max_level, quarantined)
 
     def _settle_at(
         self,

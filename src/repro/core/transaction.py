@@ -42,10 +42,10 @@ __all__ = [
 class WritableStore(Protocol):
     """Anything facts can be put into and taken out of one at a time.
 
-    Both :class:`~repro.datalog.database.Database` and the metered
-    :class:`~repro.distributed.site.Site` satisfy this, so one rollback
-    path serves the session and the distributed checker (and rolling
-    back through a site meters the compensating writes like any other).
+    The session's database satisfies this — the in-memory
+    :class:`~repro.datalog.database.Database` or a storage backend's —
+    and every checker rolls back through its session, so this is the
+    one rollback path.
     """
 
     def insert(self, predicate: str, fact: tuple) -> bool: ...

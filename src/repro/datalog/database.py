@@ -415,7 +415,16 @@ class Database:
         return relation is not None and tuple(fact) in relation
 
     def predicates(self) -> set[str]:
-        return set(self._relations)
+        """The predicates holding at least one fact.
+
+        A function of the facts alone (like ``==``), so rolling back an
+        insertion that created a relation restores it exactly."""
+        return {name for name, rel in self._relations.items() if len(rel)}
+
+    def arities(self) -> dict[str, int]:
+        """Every relation the database has created, empty ones included,
+        with its arity (the schema, as opposed to :meth:`predicates`)."""
+        return {name: rel.arity for name, rel in self._relations.items()}
 
     def arity_of(self, predicate: str) -> int | None:
         relation = self._relations.get(predicate)

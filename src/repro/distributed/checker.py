@@ -2,19 +2,16 @@
 
 "Only if this test is inconclusive do we need to make a second test that
 looks at the remote data" (Section 1).  :class:`DistributedChecker` runs
-the :class:`~repro.core.engine.PartialInfoChecker` pipeline against the
-local site and escalates to the metered remote site only on UNKNOWN,
-recording per-level statistics — the measurements behind the M1
-benchmark.
+the level pipeline against the local site and escalates to the metered
+remote site only on UNKNOWN, recording per-level statistics — the
+measurements behind the M1 benchmark.
 
-Two driving modes share one compiled constraint set:
-
-* :meth:`DistributedChecker.process` — the original per-update protocol,
-  stateless between calls;
-* :meth:`DistributedChecker.check_stream` — stream mode, built on an
-  incremental :class:`~repro.core.session.CheckSession` that maintains
-  constraint materializations by delta instead of re-evaluating, and
-  reports reuse counters through :class:`ProtocolStats`.
+Every entry point — :meth:`DistributedChecker.process`,
+:meth:`DistributedChecker.check_stream` and
+:meth:`DistributedChecker.process_transaction` — drives one persistent
+:class:`~repro.core.session.CheckSession` over the local site, which
+maintains constraint materializations by delta instead of re-evaluating
+and reports reuse counters through :class:`ProtocolStats`.
 """
 
 from __future__ import annotations
@@ -24,17 +21,16 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.core.engine import PartialInfoChecker
 from repro.core.outcomes import CheckLevel, CheckReport, Outcome
-from repro.core.session import CheckSession, PendingVerdict
+from repro.core.session import CheckSession
 from repro.core.transaction import Transaction
-from repro.datalog.database import Database, UndoToken
+from repro.datalog.database import Database
 from repro.distributed.remote import FederationLink, RemoteLink
-from repro.distributed.site import FederatedDatabase, Site, TwoSiteDatabase
+from repro.distributed.site import FederatedDatabase
 from repro.distributed.stats import (  # noqa: F401  (re-exported)
     _SESSION_GAUGES,
     ProtocolStats,
     sync_session_gauges,
 )
-from repro.errors import RemoteUnavailableError
 from repro.updates.update import Update
 
 __all__ = [
@@ -116,7 +112,6 @@ class DistributedChecker:
         self,
         constraints: ConstraintSet | Iterable[Constraint],
         sites: FederatedDatabase,
-        use_interval_datalog: bool = False,
         apply_on_unknown: bool = True,
         remote_link: Optional[RemoteLink] = None,
         overlap_remote: bool = False,
@@ -140,7 +135,6 @@ class DistributedChecker:
         self.checker = PartialInfoChecker(
             constraints,
             local_predicates=sites.local_predicates,
-            use_interval_datalog=use_interval_datalog,
             site_of=sites.site_of,
         )
         self.apply_on_unknown = apply_on_unknown
@@ -196,134 +190,27 @@ class DistributedChecker:
         """Deferred verdicts still waiting for a reachable remote."""
         return self._session.pending_count if self._session is not None else 0
 
-    def _escalation_predicates(
-        self, unresolved: Iterable[CheckReport]
-    ) -> set[str]:
-        local = self.checker.compiler.local_predicates
-        needed: set[str] = set()
-        for report in unresolved:
-            constraint = self.checker.constraints[report.constraint_name]
-            needed |= constraint.predicates() - local
-        return needed
-
     def process(
         self,
         update: Update,
         apply_when_safe: bool = True,
         transaction: Optional[Transaction] = None,
     ) -> list[CheckReport]:
-        """Run the protocol for one update.
+        """Run the protocol for one update: :meth:`check_stream` over
+        ``[update]``.
 
         Levels 0-2 consult only the local site.  On any UNKNOWN the
-        protocol fetches a remote snapshot restricted to the predicates
+        session fetches a remote snapshot restricted to the predicates
         the unresolved constraints mention (one metered round trip) and
-        re-checks them at level 3.  If the fetch fails — a configured
-        :class:`~repro.distributed.remote.RemoteLink` exhausted its
-        retries or its breaker is open — the unresolved verdicts degrade
-        to DEFERRED and the update is queued for
-        :meth:`resolve_pending` instead of the stream crashing.  The
-        update is applied to the local site when *apply_when_safe* is
-        true, no verdict is VIOLATED, and — unless the checker was built
-        with ``apply_on_unknown=True`` (the default, optimistic policy)
-        — every verdict is SATISFIED.  When *transaction* is given, an
-        applied update's effective changes are recorded there so the
-        sequence can be rolled back exactly.
+        re-checks them at level 3.  If the fetch fails the unresolved
+        verdicts degrade to DEFERRED and the update is queued for
+        :meth:`resolve_pending`.  When *transaction* is given, an applied
+        update's effective changes are recorded there so the sequence
+        can be rolled back exactly.
         """
-        self.stats.updates += 1
-        local_db = self.sites.local.unmetered()
-        reports = self.checker.check(
-            update, local_db, remote_db=None, max_level=CheckLevel.WITH_LOCAL_DATA
-        )
-        unresolved = [r for r in reports if r.outcome is Outcome.UNKNOWN]
-        defer_future = None
-        defer_future_predicates = None
-        if unresolved:
-            needed = self._escalation_predicates(unresolved)
-            try:
-                remote_db = self.remote_source(
-                    predicates=sorted(needed) if needed else None
-                )
-            except RemoteUnavailableError as exc:
-                # An overlapped link raises with the fetch still in
-                # flight; the future rides on the queued entry so the
-                # drain settles from its result instead of re-fetching.
-                defer_future = getattr(exc, "future", None)
-                if defer_future is not None:
-                    defer_future_predicates = getattr(exc, "predicates", None)
-                reports = [
-                    CheckReport(
-                        report.constraint_name, Outcome.DEFERRED, report.level,
-                        remote_accessed=False,
-                        detail=f"remote unreachable: {exc}",
-                    )
-                    if report.outcome is Outcome.UNKNOWN
-                    else report
-                    for report in reports
-                ]
-            else:
-                self.stats.remote_round_trips += 1
-                resolved: list[CheckReport] = []
-                for report in reports:
-                    if report.outcome is not Outcome.UNKNOWN:
-                        resolved.append(report)
-                        continue
-                    resolved.append(
-                        self.checker.check_constraint(
-                            self.checker.constraints[report.constraint_name],
-                            update,
-                            local_db,
-                            remote_db,
-                            max_level=CheckLevel.FULL_DATABASE,
-                        )
-                    )
-                reports = resolved
-
-        self._record(reports)
-        deferred = tuple(
-            r.constraint_name for r in reports if r.outcome is Outcome.DEFERRED
-        )
-        safe = not any(report.outcome is Outcome.VIOLATED for report in reports)
-        if not self.apply_on_unknown:
-            safe = safe and not any(
-                report.outcome in (Outcome.UNKNOWN, Outcome.DEFERRED)
-                for report in reports
-            )
-        report_map = {r.constraint_name: r for r in reports}
-        if safe and apply_when_safe:
-            token, mat_undos = self._apply_local(update)
-            if transaction is not None:
-                transaction.record(token, mat_undos)
-            if deferred and transaction is None:
-                # Optimistically applied with a pending level-3 verdict:
-                # queue it (with the effective token) so resolve_pending
-                # can re-check and, if VIOLATED, reverse it exactly.
-                # Inside a transaction nothing is queued — the DEFERRED
-                # verdict aborts the transaction instead.
-                session = self.session
-                session.stats.deferred_remote += 1
-                session._queue_pending(
-                    update, deferred, report_map, applied=True, token=token,
-                    future=defer_future,
-                    future_predicates=defer_future_predicates,
-                )
-        elif (
-            deferred
-            and apply_when_safe
-            and transaction is None
-            and not any(r.outcome is Outcome.VIOLATED for r in reports)
-        ):
-            # Pessimistic policy: the update is held back entirely until
-            # the link recovers; resolve_pending retries it end to end.
-            session = self.session
-            session.stats.deferred_remote += 1
-            session._queue_pending(
-                update, deferred, report_map, applied=False,
-                future=defer_future,
-                future_predicates=defer_future_predicates,
-            )
-        if self.remote_link is not None:
-            self._sync_reuse_stats()
-        return reports
+        return self.check_stream(
+            [update], apply_when_safe=apply_when_safe, transaction=transaction
+        )[0]
 
     def check_stream(
         self,
@@ -395,9 +282,7 @@ class DistributedChecker:
         """Re-run the queued level-3 checks now that the link may have
         recovered.
 
-        Drains the deferred-verdict queue oldest-first through the
-        session (both the ``process`` and ``check_stream`` paths queue
-        there): held updates are retried end to end, optimistically
+        Drains the session's deferred-verdict queue oldest-first: held updates are retried end to end, optimistically
         applied ones have their unresolved constraints re-checked and are
         reversed exactly on a VIOLATED resolution.  Returns
         ``(update, final_reports)`` pairs, in queue order, for the
@@ -441,30 +326,6 @@ class DistributedChecker:
             self.stats, [self._session], self.checker.compiler, self.remote_link
         )
 
-    def _apply_local(
-        self, update: Update
-    ) -> tuple[UndoToken, list[tuple[object, object]]]:
-        """Apply *update* through the metered local site, returning the
-        *effective* changes as an :class:`UndoToken` plus the
-        materialization undos from keeping stream-mode state current —
-        exactly what a :class:`Transaction` needs to roll back."""
-        delta = update.as_delta()
-        token = UndoToken({}, {})
-        for predicate, facts in delta.deletions.items():
-            for fact in facts:
-                if self.sites.local.delete(predicate, fact):
-                    token.deletions.setdefault(predicate, set()).add(fact)
-        for predicate, facts in delta.insertions.items():
-            for fact in facts:
-                if self.sites.local.insert(predicate, fact):
-                    token.insertions.setdefault(predicate, set()).add(fact)
-        # Stream-mode materializations watch the same database; keep them
-        # current even when the mutation came through this path.
-        mat_undos: list[tuple[object, object]] = []
-        if self._session is not None:
-            mat_undos = self._session._propagate(token.as_delta())
-        return token, mat_undos
-
     def process_transaction(
         self, updates: Iterable[Update]
     ) -> tuple[bool, list[list[CheckReport]]]:
@@ -474,40 +335,28 @@ class DistributedChecker:
         predecessors; if any update is rejected — or stays UNKNOWN while
         the checker applies only on SATISFIED, or comes back DEFERRED
         because the remote was unreachable (a transaction cannot commit
-        with an unverified member) — the recorded *effective*
-        :class:`~repro.datalog.database.UndoToken`\\ s are replayed in
-        reverse, restoring the local site (and any stream-mode
-        materializations) to the exact pre-transaction state.  Inverting
-        the requested updates instead would destroy pre-existing facts:
-        a redundant insertion's inverse deletes a fact the transaction
-        never added.
+        with an unverified member) — the session replays the recorded
+        *effective* :class:`~repro.datalog.database.UndoToken`\\ s in
+        reverse, restoring the local site and every maintained
+        materialization to the exact pre-transaction state (see
+        :meth:`CheckSession.process_transaction`).
 
         Returns ``(committed, reports_per_update)``; processing stops at
         the aborting update.
         """
         self.stats.transactions += 1
-        txn = Transaction(
-            self.sites.local,
-            lambda: (
-                list(self._session._materializations.values())
-                if self._session is not None
-                else []
-            ),
+        session = self.session
+        before_fetches = session.stats.remote_fetches
+        committed, all_reports = session.process_transaction(
+            updates, remote=self.remote_source
         )
-        all_reports: list[list[CheckReport]] = []
-        for update in updates:
-            reports = self.process(update, transaction=txn)
-            all_reports.append(reports)
-            aborted = any(
-                report.outcome in (Outcome.VIOLATED, Outcome.DEFERRED)
-                for report in reports
-            ) or (
-                not self.apply_on_unknown
-                and any(report.outcome is Outcome.UNKNOWN for report in reports)
-            )
-            if aborted:
-                txn.rollback()
-                self.stats.transactions_rolled_back += 1
-                return False, all_reports
-        txn.commit()
-        return True, all_reports
+        for reports in all_reports:
+            self.stats.updates += 1
+            self._record(reports)
+        self.stats.remote_round_trips += (
+            session.stats.remote_fetches - before_fetches
+        )
+        if not committed:
+            self.stats.transactions_rolled_back += 1
+        self._sync_reuse_stats()
+        return committed, all_reports

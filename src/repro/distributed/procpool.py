@@ -93,7 +93,6 @@ class ShardConfig:
     peer_predicates: frozenset
     #: predicate -> owning remote site name (the federation placement)
     placement: tuple[tuple[str, str], ...]
-    use_interval_datalog: bool
     apply_on_unknown: bool
     max_materializations: Optional[int]
     facts: tuple[tuple[str, tuple], ...]
@@ -219,7 +218,6 @@ def _init_worker(config: ShardConfig) -> None:
     compiler = ConstraintCompiler(
         constraints,
         config.site_predicates,
-        config.use_interval_datalog,
         site_of=placement.get,
     )
     compiler.prewarm()
@@ -630,7 +628,6 @@ class ProcessShardRunner:
                     checker.site_predicates - local
                 ),
                 placement=placement,
-                use_interval_datalog=checker.compiler.use_interval_datalog,
                 apply_on_unknown=checker.apply_on_unknown,
                 max_materializations=checker.max_materializations,
                 facts=tuple(

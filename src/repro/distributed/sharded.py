@@ -250,7 +250,6 @@ class ShardedChecker:
         sites: FederatedDatabase,
         shards: int = 2,
         partitioner: Optional[PredicatePartitioner] = None,
-        use_interval_datalog: bool = False,
         apply_on_unknown: bool = True,
         remote_link: Optional[RemoteLink] = None,
         max_materializations: Optional[int] = MATERIALIZATION_LIMIT,
@@ -301,8 +300,7 @@ class ShardedChecker:
         self.partitioner = partitioner
         self.shards = partitioner.shards
         self.compiler = ConstraintCompiler(
-            constraints, self.site_predicates, use_interval_datalog,
-            site_of=sites.site_of,
+            constraints, self.site_predicates, site_of=sites.site_of,
         )
         self.constraints = self.compiler.constraints
         self.apply_on_unknown = apply_on_unknown

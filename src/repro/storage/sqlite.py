@@ -151,8 +151,8 @@ class SQLiteDatabase:
         self.pushdown_tests = 0
         if contents is not None:
             if isinstance(contents, Database):
-                for predicate in contents.predicates():
-                    self._ensure_table(predicate, contents.arity_of(predicate))
+                for predicate, arity in contents.arities().items():
+                    self._ensure_table(predicate, arity)
                     for fact in contents.facts(predicate):
                         self.insert(predicate, fact)
             else:
@@ -368,7 +368,15 @@ class SQLiteDatabase:
         return row is not None
 
     def predicates(self) -> set[str]:
-        return set(self._arities)
+        """The predicates holding at least one fact (see
+        :meth:`Database.predicates <repro.datalog.database.Database.predicates>`)."""
+        return {
+            predicate
+            for predicate in self._arities
+            if self._conn.execute(
+                f"SELECT 1 FROM {quote_identifier(predicate)} LIMIT 1"
+            ).fetchone()
+        }
 
     def arity_of(self, predicate: str) -> int | None:
         return self._arities.get(predicate)

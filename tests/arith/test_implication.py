@@ -1,6 +1,7 @@
 """Tests for implication of comparison disjunctions (the Theorem 5.1 core)."""
 
 import itertools
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -162,6 +163,44 @@ class TestRefutingModel:
 
     def test_none_for_unsat_base(self):
         assert refuting_model([cmp(X, ComparisonOp.LT, X)], []) is None
+
+
+class TestDeepDisjunctions:
+    """The DNF search is one level per disjunct; it must not be bounded
+    by the interpreter's recursion limit (a containment test against a
+    large local relation builds one disjunct per mapping)."""
+
+    WIDTH = 80
+
+    def disjuncts(self):
+        return [
+            [cmp(Variable(f"X{i}"), ComparisonOp.LT, Variable(f"Y{i}"))]
+            for i in range(self.WIDTH)
+        ]
+
+    def run_shallow(self, fn, *args):
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            return fn(*args)
+        finally:
+            sys.setrecursionlimit(old)
+
+    def test_implies_disjunction_past_recursion_limit(self):
+        assert self.run_shallow(implies_disjunction, [], self.disjuncts()) is False
+
+    def test_refuting_model_past_recursion_limit(self):
+        model = self.run_shallow(refuting_model, [], self.disjuncts())
+        assert model is not None
+        for i in range(self.WIDTH):
+            assert comparison_holds(
+                ComparisonOp.GE, model[Variable(f"X{i}")], model[Variable(f"Y{i}")]
+            )
 
 
 VARS = [X, Y, Z]

@@ -67,6 +67,27 @@ class TestTransaction:
         assert session.local_db.facts("p") == {(1,)}
         assert session.local_db.facts("q") == frozenset()
 
+    def test_rollback_restores_predicate_set(self):
+        """An insertion into a relation the database does not hold yet
+        creates it; every rollback (rejection, check(), transaction
+        abort) must leave ``predicates()`` exactly as it was."""
+        constraints = ConstraintSet([Constraint("panic :- q(X)", "no-q")])
+        session = CheckSession(
+            constraints, local_predicates={"p", "q", "r"},
+            local_db=Database({"p": [(1,)]}),
+        )
+        rejected = session.process(Insertion("q", (5,)))
+        assert rejected[0].outcome is Outcome.VIOLATED
+        assert session.local_db.predicates() == {"p"}
+        session.check(Insertion("r", (1,)))
+        assert session.local_db.predicates() == {"p"}
+        committed, _ = session.process_transaction(
+            [Insertion("r", (2,)), Insertion("q", (6,))]
+        )
+        assert not committed
+        assert session.local_db.predicates() == {"p"}
+        assert snapshot(session.local_db) == {"p": {(1,)}}
+
     def test_abort_restores_materializations(self):
         session = fd_session()
         # Build the materialization before the transaction starts.

@@ -283,7 +283,6 @@ class TestPickleRoundTrip:
             local_predicates=frozenset({"p"}),
             peer_predicates=frozenset(),
             placement=(("rem", "remote"),),
-            use_interval_datalog=False,
             apply_on_unknown=True,
             max_materializations=32,
             facts=(("p", ((1, 2), (3, 4))),),

@@ -1,8 +1,9 @@
-"""DistributedChecker.check_stream: incremental protocol equivalence.
+"""DistributedChecker.check_stream: incremental protocol correctness.
 
-Stream mode must produce the same verdicts and the same final local
-state as the per-update protocol, while reporting materialization-reuse
-and cache counters through ProtocolStats.
+Stream mode must give every update the verdict a from-scratch evaluation
+of the constraints on the full (ground-truth) database gives, keep the
+local site equal to the ground truth's local part, and report
+materialization-reuse and cache counters through ProtocolStats.
 """
 
 from repro.core.outcomes import Outcome
@@ -15,27 +16,27 @@ def outcomes(reports):
 
 
 class TestStreamEquivalence:
-    def test_matches_per_update_protocol(self):
+    def test_verdicts_match_ground_truth(self):
         for factory in (interval_workload, employee_workload):
-            stream_wl = factory(num_updates=40, covered_fraction=0.6, seed=11)
-            batch_wl = factory(num_updates=40, covered_fraction=0.6, seed=11)
-
-            per_update = DistributedChecker(batch_wl.constraints, batch_wl.sites)
-            expected = [per_update.process(u) for u in batch_wl.updates]
-
-            streaming = DistributedChecker(stream_wl.constraints, stream_wl.sites)
-            got = streaming.check_stream(stream_wl.updates)
-
-            assert [outcomes(r) for r in expected] == [outcomes(r) for r in got]
-            local_expected = batch_wl.sites.local.unmetered()
-            local_got = stream_wl.sites.local.unmetered()
-            for predicate in local_expected.predicates():
-                assert local_got.facts(predicate) == local_expected.facts(predicate)
-            assert (
-                streaming.stats.remote_round_trips
-                == per_update.stats.remote_round_trips
-            )
-            assert streaming.stats.rejected == per_update.stats.rejected
+            workload = factory(num_updates=40, covered_fraction=0.6, seed=11)
+            checker = DistributedChecker(workload.constraints, workload.sites)
+            rejected = 0
+            for update in workload.updates:
+                before = workload.sites.ground_truth_database()
+                after = update.applied_copy(before)
+                expected = [
+                    Outcome.SATISFIED if constraint.holds(after) else Outcome.VIOLATED
+                    for constraint in workload.constraints
+                ]
+                (reports,) = checker.check_stream([update])
+                assert outcomes(reports) == expected, update
+                if Outcome.VIOLATED in expected:
+                    rejected += 1
+                    assert workload.sites.ground_truth_database() == before
+                else:
+                    assert workload.sites.ground_truth_database() == after
+            assert checker.stats.rejected == rejected
+            assert checker.stats.updates == len(workload.updates)
 
     def test_final_state_satisfies_constraints(self):
         workload = employee_workload(num_updates=50, covered_fraction=0.5, seed=5)
@@ -57,14 +58,14 @@ class TestStreamStats:
         assert rows["level-1 cache misses"] == stats.level1_cache_misses
 
     def test_mixed_modes_stay_consistent(self):
-        """Interleaving process() and check_stream() must keep the
+        """Interleaving process() and check_stream() must keep the one
         session's materializations in sync with the shared local site."""
         workload = employee_workload(num_updates=20, covered_fraction=0.6, seed=8)
         checker = DistributedChecker(workload.constraints, workload.sites)
         first, rest = workload.updates[:10], workload.updates[10:]
         checker.check_stream(first)  # builds session state
         for update in rest[:5]:
-            checker.process(update)  # direct path mutates the same site
+            checker.process(update)  # same session, one update at a time
         checker.check_stream(rest[5:])
         assert workload.constraints.holds_all(workload.sites.ground_truth_database())
 
