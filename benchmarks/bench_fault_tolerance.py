@@ -69,7 +69,7 @@ def run_stream(num_updates: int, fault_rate: float, outage: bool):
     outages = ((10, 30),) if outage else ()
     link = RemoteLink(
         UnreliableRemote(
-            workload.sites.remote,
+            workload.sites.remotes["remote"],
             FaultModel(
                 failure_rate=fault_rate,
                 latency=0.01,

@@ -77,7 +77,7 @@ def datalog_agreement(workload):
     and require the same local-test verdict.  Returns the number of
     tests compared."""
     checker = DistributedChecker(workload.constraints, workload.sites)
-    compiler = checker.checker.compiler
+    compiler = checker.compiler
     local = workload.sites.local.unmetered()
     compared = 0
     for update in workload.updates:

@@ -35,7 +35,7 @@ import time
 from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.core.session import CheckSession
 from repro.datalog.database import Database
-from repro.distributed.site import Site, TwoSiteDatabase
+from repro.distributed.site import FederatedDatabase, Site
 from repro.storage import SQLiteBackend
 from repro.updates.update import Deletion, Insertion
 
@@ -99,9 +99,9 @@ def build_workload(num_facts: int, num_updates: int, seed: int = 11):
 
 
 def make_sites(local: Database, remote: Database, backend=None):
-    return TwoSiteDatabase(
+    return FederatedDatabase(
         local=Site("local", local, backend=backend),
-        remote=Site("remote", remote),
+        remotes=[Site("remote", remote)],
         local_predicates=LOCAL,
     )
 
@@ -125,7 +125,7 @@ def run_backend(constraints, local, remote, updates, backend=None):
     )
     t0 = time.perf_counter()
     verdicts = [
-        verdict_key(session.process(u, remote=sites.remote.snapshot))
+        verdict_key(session.process(u, remote=sites.remotes["remote"].snapshot))
         for u in updates
     ]
     elapsed = time.perf_counter() - t0

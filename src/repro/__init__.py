@@ -75,8 +75,8 @@ from repro.datalog import (
 )
 from repro.distributed import (
     DistributedChecker,
+    FederatedDatabase,
     Site,
-    TwoSiteDatabase,
     employee_workload,
     interval_workload,
 )
@@ -123,6 +123,7 @@ __all__ = [
     "DistributedChecker",
     "Engine",
     "EvaluationError",
+    "FederatedDatabase",
     "Insertion",
     "Interval",
     "IntervalDatalogTest",
@@ -139,7 +140,6 @@ __all__ = [
     "Shape",
     "Site",
     "StratificationError",
-    "TwoSiteDatabase",
     "UndecidableError",
     "UnsupportedClassError",
     "Variable",

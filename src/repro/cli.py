@@ -37,9 +37,10 @@ holds updates back (instead of applying optimistically) until every
 verdict is SATISFIED.
 
 ``--shards N`` partitions the local site into N per-shard check
-sessions (verdicts identical to a single session); ``--parallel N``
-additionally runs shard-confined updates on N worker threads with
-explicit fences around cross-shard work, and ``--overlap-remote``
+sessions (verdicts identical to the default single session, which
+checks the local site's own database); ``--parallel N`` runs
+shard-confined updates on N worker threads with explicit fences
+around cross-shard work, and ``--overlap-remote``
 issues remote escalations asynchronously so the stream keeps flowing
 while a slow fetch is in flight.  ``--executor process`` moves each
 shard session into its own worker process (escalations bounce through
@@ -273,10 +274,10 @@ def _build_sites(args: argparse.Namespace, db: Database, local_predicates: set[s
     """The (possibly federated) site topology for ``check-stream``.
 
     ``--sites 2`` (the default) is the classic local + single-remote
-    split.  ``--sites N`` with N > 2 deals the remote predicates
-    round-robin (sorted, so deterministic) across N-1 named remote
-    sites ``remote1`` .. ``remoteN-1``."""
-    from repro.distributed.site import FederatedDatabase, Site, TwoSiteDatabase
+    split, the remote named ``remote``.  ``--sites N`` with N > 2 deals
+    the remote predicates round-robin (sorted, so deterministic) across
+    N-1 named remote sites ``remote1`` .. ``remoteN-1``."""
+    from repro.distributed.site import FederatedDatabase, Site
 
     total = args.sites if getattr(args, "sites", None) else 2
     if total < 2:
@@ -293,18 +294,11 @@ def _build_sites(args: argparse.Namespace, db: Database, local_predicates: set[s
             backend=make_backend(backend_name),
         )
     remote_predicates = sorted(db.predicates() - local_predicates)
-    if total == 2:
-        return TwoSiteDatabase(
-            local=local,
-            remote=Site("remote", db.restricted_to(set(remote_predicates))),
-            local_predicates=local_predicates,
-        )
     count = total - 1
-    placement: dict[str, list[str]] = {
-        f"remote{i + 1}": [] for i in range(count)
-    }
+    names = ["remote"] if count == 1 else [f"remote{i + 1}" for i in range(count)]
+    placement: dict[str, list[str]] = {name: [] for name in names}
     for index, predicate in enumerate(remote_predicates):
-        placement[f"remote{(index % count) + 1}"].append(predicate)
+        placement[names[index % count]].append(predicate)
     remotes = [
         Site(name, db.restricted_to(set(owned)))
         for name, owned in placement.items()
@@ -328,13 +322,16 @@ def _parse_boundary(text: str) -> object:
     return text
 
 
-def _build_partitioner(args: argparse.Namespace, local_predicates: set[str]):
-    """The shard partitioner for ``--shards``: key-range when any
-    ``--shard-by`` spec is given, round-robin by predicate otherwise."""
-    from repro.distributed.sharded import KeyRangePartitioner, PredicatePartitioner
+def _build_partitioner(
+    args: argparse.Namespace, shards: int, local_predicates: set[str]
+):
+    """The shard partitioner for ``--shards`` (one shard without it):
+    key-range when any ``--shard-by`` spec is given, round-robin by
+    predicate otherwise."""
+    from repro.distributed.checker import KeyRangePartitioner, PredicatePartitioner
 
     if not args.shard_by:
-        return PredicatePartitioner(args.shards, local_predicates)
+        return PredicatePartitioner(shards, local_predicates)
     boundaries: dict[str, list] = {}
     for spec in args.shard_by:
         predicate, sep, cuts = spec.partition("=")
@@ -345,7 +342,10 @@ def _build_partitioner(args: argparse.Namespace, local_predicates: set[str]):
         boundaries[predicate.strip()] = [
             _parse_boundary(cut) for cut in cuts.split(",") if cut.strip()
         ]
-    return KeyRangePartitioner(args.shards, boundaries, local_predicates)
+    try:
+        return KeyRangePartitioner(shards, boundaries, local_predicates)
+    except (TypeError, ValueError) as exc:
+        raise ReproError(f"--shard-by: {exc}") from exc
 
 
 #: resolve_pending rounds before ``check-stream`` gives up on a dead link
@@ -434,56 +434,38 @@ def _overlay_recovered_facts(db: Database, local_predicates, recovered) -> Datab
     return merged
 
 
-def _checkpoint_payload(pos: int, args: argparse.Namespace, checker, link) -> dict:
+def _checkpoint_payload(pos: int, checker, link) -> dict:
     """One checkpoint manifest payload: everything ``--resume`` needs at
     stream position *pos* (facts, pending queue, arrival clock floor,
     protocol + session stats, shard cuts + per-shard queues/clock cells,
     worker-restart counters, link state).
 
-    Sharded manifests carry the pending queues *per shard*
-    (``shard_pending``) alongside the flat sorted list, plus each
-    shard's arrival-clock cell (``shard_seq``) — a shard may have
-    stamped sequence numbers without queueing anything, and the resumed
-    arrival clock must restart past those too.  Manifests are only cut
-    at barriers (or the serial between-updates boundary), where the
-    checkpointed state provably equals the journal's committed prefix.
+    Manifests carry the pending queues *per shard* (``shard_pending``)
+    alongside the flat sorted list, plus each shard's arrival-clock cell
+    (``shard_seq``) — a shard may have stamped sequence numbers without
+    queueing anything, and the resumed arrival clock must restart past
+    those too.  Manifests are only cut at barriers (or the serial
+    between-updates boundary), where the checkpointed state provably
+    equals the journal's committed prefix.
     """
     from repro.durability.journal import entry_to_json
 
-    shard_pending = None
-    shard_seq = None
-    worker_restarts = None
-    if args.shards and getattr(checker, "_procpool", None) is not None:
+    if checker._procpool is not None:
         states = checker._procpool.checkpoint_state()
-        local_db = checker.local_database()
-        shard_pending = [
-            [entry_to_json(entry) for entry in state["pending"]]
-            for state in states
-        ]
+        queues = [state["pending"] for state in states]
         shard_seq = [state["seq"] for state in states]
-        worker_restarts = checker._procpool.restart_counts()
         session_stats = [state["stats"].to_dict() for state in states]
-        pending = sorted(
-            (entry for state in states for entry in state["pending"]),
-            key=lambda entry: entry.seq,
-        )
     else:
-        if args.shards:
-            local_db = checker.local_database()
-            sessions = checker.sessions
-            shard_pending = [
-                [entry_to_json(entry) for entry in session._pending]
-                for session in sessions
-            ]
-            shard_seq = [cell[0] for cell in checker._seq_cells]
-        else:
-            local_db = checker.sites.local.unmetered()
-            sessions = [checker.session]
-        session_stats = [session.stats.to_dict() for session in sessions]
-        pending = sorted(
-            (entry for session in sessions for entry in session._pending),
-            key=lambda entry: entry.seq,
-        )
+        queues = [session._pending for session in checker.sessions]
+        shard_seq = [cell[0] for cell in checker._seq_cells]
+        session_stats = [
+            session.stats.to_dict() for session in checker.sessions
+        ]
+    local_db = checker.local_database()
+    pending = sorted(
+        (entry for queue in queues for entry in queue),
+        key=lambda entry: entry.seq,
+    )
     payload = {
         "pos": pos,
         "facts": {
@@ -496,23 +478,22 @@ def _checkpoint_payload(pos: int, args: argparse.Namespace, checker, link) -> di
         "seq": max((entry.seq for entry in pending), default=0),
         "stats": checker.stats.to_dict(),
         "session_stats": session_stats,
-        "cuts": {},
-        "link": link.state_dict() if link is not None else None,
-    }
-    if shard_pending is not None:
-        payload["shard_pending"] = shard_pending
-        payload["shard_seq"] = shard_seq
-    if worker_restarts is not None:
-        payload["worker_restarts"] = worker_restarts
-    if args.shards and args.shard_by:
-        payload["cuts"] = {
+        "cuts": {
             predicate: list(checker.partitioner.boundaries(predicate))
             for predicate in sorted(checker.partitioner.split_predicates)
-        }
+        },
+        "link": link.state_dict() if link is not None else None,
+        "shard_pending": [
+            [entry_to_json(entry) for entry in queue] for queue in queues
+        ],
+        "shard_seq": shard_seq,
+    }
+    if checker._procpool is not None:
+        payload["worker_restarts"] = checker._procpool.restart_counts()
     return payload
 
 
-def _restore_into(args: argparse.Namespace, checker, recovered, link) -> None:
+def _restore_into(checker, recovered, link) -> None:
     """Install a recovered state into a freshly built checker: pending
     entries re-queued per shard in sequence order, the arrival clock
     restarted past every recovered sequence number, protocol + session
@@ -525,57 +506,48 @@ def _restore_into(args: argparse.Namespace, checker, recovered, link) -> None:
     from repro.core.session import SessionStats
     from repro.durability.journal import entry_from_json
 
-    if args.shards:
-        # Per-shard queues straight from the manifest when it has them
-        # (the journal-tail descriptors are not in the manifest's shard
-        # split and route by the partitioner); pre-shard-manifest
-        # journals route everything by the partitioner.
-        if recovered.shard_pending is not None:
-            per_shard = [
-                [entry_from_json(desc) for desc in queue]
-                for queue in recovered.shard_pending
-            ]
-            for desc in recovered.tail_pending:
-                entry = entry_from_json(desc)
-                per_shard[checker.shard_of(entry.update)].append(entry)
-        else:
-            per_shard = [[] for _ in range(checker.shards)]
-            for desc in recovered.pending:
-                entry = entry_from_json(desc)
-                per_shard[checker.shard_of(entry.update)].append(entry)
-        for queue in per_shard:
-            queue.sort(key=lambda entry: entry.seq)
-        if checker._procpool is not None:
-            checker._procpool.restore_checkpoint(
-                per_shard,
-                [
-                    SessionStats.from_dict(data)
-                    for data in recovered.session_stats
-                ],
-                recovered.worker_restarts,
-            )
-        else:
-            for session, queue, data in zip(
-                checker.sessions, per_shard, recovered.session_stats
-            ):
-                session._pending.extend(queue)
-                session.stats = SessionStats.from_dict(data)
-        if recovered.shard_seq is not None:
-            for cell, seq in zip(checker._seq_cells, recovered.shard_seq):
-                cell[0] = seq
-        checker._arrival = itertools.count(recovered.seq + 1)
+    # Per-shard queues straight from the manifest when it has them (the
+    # journal-tail descriptors are not in the manifest's shard split and
+    # route by the partitioner); manifests without a shard split route
+    # everything by the partitioner.
+    if recovered.shard_pending is not None:
+        per_shard = [
+            [entry_from_json(desc) for desc in queue]
+            for queue in recovered.shard_pending
+        ]
+        for desc in recovered.tail_pending:
+            entry = entry_from_json(desc)
+            per_shard[checker.shard_of(entry.update)].append(entry)
     else:
-        entries = [entry_from_json(desc) for desc in recovered.pending]
-        checker.session._pending.extend(entries)
-        checker.session._pending_seq = recovered.seq
-        for session, data in zip([checker.session], recovered.session_stats):
-            session.stats = SessionStats.from_dict(data)
+        per_shard = [[] for _ in range(checker.shards)]
+        for desc in recovered.pending:
+            entry = entry_from_json(desc)
+            per_shard[checker.shard_of(entry.update)].append(entry)
+    for queue in per_shard:
+        queue.sort(key=lambda entry: entry.seq)
+    session_stats = [
+        SessionStats.from_dict(data) for data in recovered.session_stats
+    ]
+    if checker._procpool is not None:
+        checker._procpool.restore_checkpoint(
+            per_shard, session_stats, recovered.worker_restarts
+        )
+    else:
+        for session, queue, stats in zip(
+            checker.sessions, per_shard, session_stats
+        ):
+            session._pending.extend(queue)
+            session.stats = stats
+    if recovered.shard_seq is not None:
+        for cell, seq in zip(checker._seq_cells, recovered.shard_seq):
+            cell[0] = seq
+    checker._arrival = itertools.count(recovered.seq + 1)
     checker.stats = recovered.stats
     if link is not None and recovered.link_state is not None:
         link.restore_state(recovered.link_state)
 
 
-def _journal_future_patches(args: argparse.Namespace, checker, writer) -> None:
+def _journal_future_patches(checker, writer) -> None:
     """Journal which pending entries' overlapped escalation futures have
     landed (one ``"fp"`` record per landed future).
 
@@ -586,8 +558,7 @@ def _journal_future_patches(args: argparse.Namespace, checker, writer) -> None:
     let a journal-tail-only recovery mark those descriptors resolved
     (the resumed drain re-fetches synchronously either way; the marker
     preserves what the crashed run knew)."""
-    sessions = checker.sessions if args.shards else [checker.session]
-    for session in sessions:
+    for session in checker.sessions:
         for entry in session._pending:
             if entry.future is not None and entry.future.done():
                 writer.record_future_patch(entry.seq)
@@ -620,11 +591,22 @@ def _drain_pending(checker) -> tuple[list, int]:
 
 def _cmd_check_stream(args: argparse.Namespace) -> int:
     from repro.distributed.checker import DistributedChecker
+    from repro.distributed.rebalance import RebalancePolicy
 
     constraints = load_constraints(args.constraints)
     db = load_database(args.db) if args.db else Database()
     updates = load_updates(args.updates)
-    local_predicates = set(args.local or db.predicates())
+    # Without --local every predicate is local, the updated ones too.
+    local_predicates = set(
+        args.local or db.predicates() | {update.predicate for update in updates}
+    )
+    for update in updates:
+        if update.predicate not in local_predicates:
+            raise ReproError(
+                f"update {update} targets {update.predicate!r}, which is not "
+                f"a local predicate (--local: {sorted(local_predicates)}); "
+                "only the local site's relations can be updated"
+            )
 
     recovered = None
     injector = None
@@ -682,12 +664,15 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
                     "fresh directory"
                 )
 
-    if (getattr(args, "backend", None) or "memory") != "memory" and args.shards:
+    shards = args.shards or 1
+    if (getattr(args, "backend", None) or "memory") != "memory" and (
+        shards > 1 or args.executor == "process"
+    ):
         raise ReproError(
-            "--backend sqlite cannot be combined with --shards: shard "
-            "sessions re-partition the local site into per-shard in-memory "
-            "databases, and a sqlite connection cannot cross the worker "
-            "boundary"
+            "--backend sqlite needs one in-process shard (no --shards N > 1, "
+            "no --executor process): several shards re-partition the local "
+            "site into per-shard in-memory databases, and a sqlite "
+            "connection cannot cross the worker boundary"
         )
     sites = _build_sites(args, db, local_predicates)
     site_rates = _parse_site_fault_rates(args)
@@ -703,26 +688,11 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
             args, site, rate=site_rates.get(name, site_rates.get("*"))
         )
 
-    if len(sites.remotes) == 1:
-        name, remote_site = next(iter(sites.remotes.items()))
-        remote_link = _site_link(name, remote_site)
-        remote_links = None
-    else:
-        remote_link = None
-        remote_links = {
-            name: built
-            for name, site in sites.remotes.items()
-            if (built := _site_link(name, site)) is not None
-        } or None
-    if args.parallel and not args.shards:
-        raise ReproError(
-            "--parallel needs --shards: the workers are per-shard sessions"
-        )
-    if args.executor == "process" and not args.shards:
-        raise ReproError(
-            "--executor process needs --shards: the workers are per-shard "
-            "sessions"
-        )
+    remote_links = {
+        name: built
+        for name, site in sites.remotes.items()
+        if (built := _site_link(name, site)) is not None
+    }
     if args.executor == "process" and args.overlap_remote:
         raise ReproError(
             "--overlap-remote needs the thread executor: an async fetch "
@@ -736,48 +706,28 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
                 "--rebalance needs --shards and --shard-by: it moves "
                 "key-range cut points"
             )
-    if args.shards:
-        from repro.distributed.rebalance import RebalancePolicy
-        from repro.distributed.sharded import ShardedChecker
-
-        if args.transaction:
-            raise ReproError(
-                "--transaction cannot be combined with --shards: the "
-                "atomic rollback spans one session, not a shard fleet"
-            )
-        partitioner = _build_partitioner(args, local_predicates)
-        if recovered is not None:
-            # The checker partitions the local database at construction
-            # time, so the recovered cut vectors go in first.
-            for predicate, cuts in recovered.cuts.items():
-                partitioner.set_boundaries(predicate, cuts)
-        checker = ShardedChecker(
-            constraints, sites,
-            shards=args.shards,
-            partitioner=partitioner,
-            apply_on_unknown=not args.pessimistic,
-            remote_link=remote_link,
-            remote_links=remote_links,
-            snapshot_ttl=args.snapshot_ttl,
-            parallelism=args.parallel or 1,
-            overlap_remote=args.overlap_remote,
-            executor=args.executor,
-            rebalance=(
-                RebalancePolicy(interval=args.rebalance)
-                if args.rebalance is not None
-                else None
-            ),
-            chaos=injector,
-        )
-    else:
-        checker = DistributedChecker(
-            constraints, sites,
-            apply_on_unknown=not args.pessimistic,
-            remote_link=remote_link,
-            remote_links=remote_links,
-            snapshot_ttl=args.snapshot_ttl,
-            overlap_remote=args.overlap_remote,
-        )
+    partitioner = _build_partitioner(args, shards, local_predicates)
+    if recovered is not None:
+        # The checker partitions the local database at construction
+        # time, so the recovered cut vectors go in first.
+        for predicate, cuts in recovered.cuts.items():
+            partitioner.set_boundaries(predicate, cuts)
+    checker = DistributedChecker(
+        constraints, sites,
+        partitioner=partitioner,
+        apply_on_unknown=not args.pessimistic,
+        remote_links=remote_links,
+        snapshot_ttl=args.snapshot_ttl,
+        parallelism=args.parallel or 1,
+        overlap_remote=args.overlap_remote,
+        executor=args.executor,
+        rebalance=(
+            RebalancePolicy(interval=args.rebalance)
+            if args.rebalance is not None
+            else None
+        ),
+        chaos=injector,
+    )
     # The checker may have promoted the per-site links into a single
     # FederationLink; tear down whatever it actually escalates through.
     link = checker.remote_link
@@ -790,13 +740,13 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
         if recovered is not None:
             # Restore before the writer exists: its link-state probe must
             # start from the recovered fetch counters, not fresh zeros.
-            _restore_into(args, checker, recovered, link)
+            _restore_into(checker, recovered, link)
         else:
             write_meta(args.journal, journal_config)
 
         def _write_manifest(pos: int) -> None:
             write_checkpoint(
-                args.journal, _checkpoint_payload(pos, args, checker, link)
+                args.journal, _checkpoint_payload(pos, checker, link)
             )
 
         writer = JournalWriter(
@@ -809,10 +759,7 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
         )
         if recovered is not None:
             writer.pos = recovered.pos
-        if args.shards:
-            checker.attach_effect_log(writer)
-        else:
-            checker.session.effect_log = writer
+        checker.attach_effect_log(writer)
         if recovered is None:
             # The resume floor: a pos-0 manifest of the initial state, so
             # recovery always finds a valid checkpoint to replay from.
@@ -866,7 +813,7 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
                 # per landed future, so a resume from the journal alone
                 # knows those pending records' fetches completed.
                 link.wait_inflight()
-                _journal_future_patches(args, checker, writer)
+                _journal_future_patches(checker, writer)
             # End-of-stream manifest *before* the drain: drains are never
             # journalled (resume re-drains deterministically), so a crash
             # anywhere in the drain resumes from here.
@@ -879,11 +826,6 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
                 # can settle from their results instead of breaking on
                 # them (a no-op when the journal block above waited).
                 link.wait_inflight()
-            if injector is not None and not args.shards:
-                # The sharded checker hits this point itself, between the
-                # quarantine and settle phases; the plain checker's drain
-                # is one session call, so the boundary lives here.
-                injector.hit("mid-drain")
             settled, remaining = _drain_pending(checker)
             for update, reports in settled:
                 rejected = any(r.outcome is Outcome.VIOLATED for r in reports)
@@ -911,8 +853,7 @@ def _cmd_check_stream(args: argparse.Namespace) -> int:
         # Tear down the process-pool workers even on a crash, so the
         # in-process kill-anywhere tests never leak worker processes
         # (thread mode: no-op).
-        if hasattr(checker, "close"):
-            checker.close()
+        checker.close()
     print()
     width = max(len(label) for label, _ in checker.stats.summary_rows())
     for label, value in checker.stats.summary_rows():
@@ -1070,8 +1011,8 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="partition the local site into N shards, one check session "
-        "each (verdicts identical to a single session); incompatible "
-        "with --transaction",
+        "each (default 1; verdicts identical to a single session); "
+        "N > 1 is incompatible with --transaction",
     )
     stream.add_argument(
         "--shard-by", action="append", metavar="PRED=CUT1,CUT2,...",
@@ -1082,13 +1023,13 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--parallel", type=int, default=None, metavar="N",
         help="run shard-confined updates on N worker threads "
-        "(fence-scheduled; verdicts identical to serial); needs --shards",
+        "(fence-scheduled; verdicts identical to serial)",
     )
     stream.add_argument(
         "--executor", choices=("thread", "process"), default="thread",
         help="run the shard sessions on worker threads (default) or in "
         "one worker process per shard (verdicts identical; escalations "
-        "bounce through the parent's link); needs --shards",
+        "bounce through the parent's link)",
     )
     stream.add_argument(
         "--rebalance", type=int, nargs="?", const=256, default=None,

@@ -272,7 +272,7 @@ class CheckSession:
         least-recently-used (mirroring the level-1 verdict LRU).
         ``None`` disables eviction.
     peer_predicates / peer_source:
-        Shard mode (see :class:`~repro.distributed.sharded.ShardedChecker`):
+        Shard mode (see :class:`~repro.distributed.checker.DistributedChecker`):
         predicates that are *site-local but stored in sibling shards*,
         and a fetch for them.  A constraint whose missing predicates all
         live on peers is settled against the lazily materialized
@@ -934,7 +934,7 @@ class CheckSession:
                 self._redo_quarantined(quarantined)
         return resolved
 
-    # -- drain building blocks (shared with ShardedChecker) --------------------
+    # -- drain building blocks (shared with DistributedChecker) ----------------
     def _pending_local_constraints(self) -> list[Constraint]:
         """The purely-local constraints a settle of any queued entry will
         consult through its maintained materialization."""

@@ -5,8 +5,9 @@ and fan-out escalation."""
 
 from repro.distributed.checker import (
     DistributedChecker,
+    KeyRangePartitioner,
+    PredicatePartitioner,
     ProtocolStats,
-    resolve_escalation_link,
 )
 from repro.distributed.faults import FaultModel, UnreliableRemote, parse_outage
 from repro.distributed.rebalance import (
@@ -20,18 +21,10 @@ from repro.distributed.remote import (
     FetchPolicy,
     LinkStats,
     RemoteLink,
+    resolve_escalation_link,
 )
-from repro.distributed.sharded import (
-    KeyRangePartitioner,
-    PredicatePartitioner,
-    ShardedChecker,
-)
-from repro.distributed.site import (
-    AccessStats,
-    FederatedDatabase,
-    Site,
-    TwoSiteDatabase,
-)
+from repro.distributed.sharded import ShardedChecker
+from repro.distributed.site import AccessStats, FederatedDatabase, Site
 from repro.distributed.workload import (
     Workload,
     employee_workload,
@@ -57,7 +50,6 @@ __all__ = [
     "ShardLoadTracker",
     "ShardedChecker",
     "Site",
-    "TwoSiteDatabase",
     "UnreliableRemote",
     "Workload",
     "employee_workload",

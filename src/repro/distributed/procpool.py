@@ -1,6 +1,6 @@
 """Process-pool shard execution: the sharded protocol across processes.
 
-:class:`~repro.distributed.sharded.ShardedChecker` with
+:class:`~repro.distributed.checker.DistributedChecker` with
 ``executor="process"`` runs each shard's level pipeline in its own
 worker **process** instead of a thread.  The GIL then stops being the
 ceiling for CPU-bound maintenance work — but nothing object-shaped can
@@ -579,7 +579,7 @@ def _patch_detail(
 
 class ProcessShardRunner:
     """Drive one single-worker :class:`ProcessPoolExecutor` per shard on
-    behalf of a :class:`~repro.distributed.sharded.ShardedChecker`.
+    behalf of a :class:`~repro.distributed.checker.DistributedChecker`.
 
     The runner owns no protocol logic of its own: routing, fence
     classification, and the partial-recovery guards all come from the
@@ -943,7 +943,7 @@ class ProcessShardRunner:
         journal_base: Optional[int] = None,
     ) -> tuple[list[tuple[int, list[CheckReport]]], int]:
         """One shard's slice of a parallel segment (driver-thread body;
-        mirrors ``ShardedChecker._run_shard_slice``).
+        mirrors ``DistributedChecker._run_shard_slice``).
 
         Escalation-capable updates run as their own singleton command —
         the worker's stream must never defer mid-slice, or its later
@@ -1028,7 +1028,7 @@ class ProcessShardRunner:
 
     def resolve_pending(self) -> list[tuple[Update, list[CheckReport]]]:
         """The global drain across the worker processes (mirrors
-        ``ShardedChecker.resolve_pending``; same soundness argument —
+        ``DistributedChecker.resolve_pending``; same soundness argument —
         quarantine everywhere first, settle globally oldest-first,
         dark/blocked partial recovery, redo on the way out)."""
         checker = self.checker

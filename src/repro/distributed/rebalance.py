@@ -5,7 +5,7 @@ selected predicates across shards by their first column.  A static cut
 vector chosen up front goes stale the moment the workload skews: one
 shard soaks up the hot key range while its siblings idle, and the
 parallel stream degenerates to the hot shard's serial throughput.  This
-module supplies the pieces :class:`~repro.distributed.sharded.ShardedChecker`
+module supplies the pieces :class:`~repro.distributed.checker.DistributedChecker`
 composes into *live* rebalancing (DESIGN.md §11):
 
 * :class:`ShardLoadTracker` — a sliding window of per-shard routed

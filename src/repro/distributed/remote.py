@@ -48,10 +48,11 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import wait as _futures_wait
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Mapping, Optional, Protocol
+from typing import Callable, Iterable, Mapping, Optional, Protocol, Union
 
 from repro.constraints.classify import group_predicates_by_site
 from repro.datalog.database import Database
+from repro.distributed.site import FederatedDatabase
 from repro.errors import RemoteUnavailableError
 
 __all__ = [
@@ -62,6 +63,7 @@ __all__ = [
     "RemoteFetchInFlight",
     "RemoteLink",
     "RemoteSite",
+    "resolve_escalation_link",
 ]
 
 
@@ -525,13 +527,12 @@ class FederationLink:
       that did arrive are still cached — the partial-recovery drain in
       :meth:`~repro.core.session.CheckSession.resolve_pending` marks
       only those sites dark.
-    * a **verified-snapshot cache** with per-site staleness bounds:
-      a successful per-site fetch is remembered for ``snapshot_ttl``
-      simulated seconds on *that site's* link clock (``site_ttls``
-      overrides per site), and a later escalation whose needs are
-      covered is served from the cache without touching the site.  The
-      default (``None``) disables caching, preserving exact fetch-for-
-      fetch equivalence with the unfederated link.
+    * a **verified-snapshot cache**: a successful per-site fetch is
+      remembered for ``snapshot_ttl`` simulated seconds on *that site's*
+      link clock, and a later escalation whose needs are covered is
+      served from the cache without touching the site.  The default
+      (``None``) disables caching, preserving exact fetch-for-fetch
+      equivalence with the unfederated link.
     """
 
     def __init__(
@@ -540,7 +541,6 @@ class FederationLink:
         site_of: Callable[[str], Optional[str]],
         parallel: bool = True,
         snapshot_ttl: Optional[float] = None,
-        site_ttls: Optional[Mapping[str, float]] = None,
     ) -> None:
         if not links:
             raise ValueError("a federation link needs at least one site link")
@@ -548,10 +548,6 @@ class FederationLink:
         self.site_of = site_of
         self.parallel = parallel
         self.snapshot_ttl = snapshot_ttl
-        self.site_ttls = dict(site_ttls or {})
-        unknown = set(self.site_ttls) - set(self.links)
-        if unknown:
-            raise ValueError(f"site_ttls names unknown sites: {sorted(unknown)}")
         #: simulated federation clock: each escalation adds the max of
         #: its per-site latency deltas when parallel, the sum otherwise
         self.clock = 0.0
@@ -567,9 +563,6 @@ class FederationLink:
         self._composites: set[Future] = set()
 
     # -- plumbing ---------------------------------------------------------------
-    def _ttl(self, site: str) -> Optional[float]:
-        return self.site_ttls.get(site, self.snapshot_ttl)
-
     def _split(self, predicates: Iterable[str] | None) -> dict[str, Optional[frozenset]]:
         """The fan-out plan: site -> predicate restriction (``None`` =
         unrestricted).  An unrestricted fetch involves every site."""
@@ -601,7 +594,7 @@ class FederationLink:
         return results, misses
 
     def _cached(self, site: str, wanted: Optional[frozenset]) -> Optional[Database]:
-        ttl = self._ttl(site)
+        ttl = self.snapshot_ttl
         if ttl is None:
             return None
         with self._lock:
@@ -622,7 +615,7 @@ class FederationLink:
             return None
 
     def _store(self, site: str, wanted: Optional[frozenset], db: Database) -> None:
-        if self._ttl(site) is None:
+        if self.snapshot_ttl is None:
             return
         with self._lock:
             self._cache[site] = (self.links[site].clock, wanted, db.copy())
@@ -895,3 +888,57 @@ class FederationLink:
         """Shut down every site link's worker pool (idempotent)."""
         for link in self.links.values():
             link.close()
+
+
+#: the escalation surface a checker fetches through — one link or a
+#: whole-federation fan-out (both expose fetch / fetch_nowait /
+#: wait_inflight / close / stats)
+EscalationLink = Union[RemoteLink, FederationLink]
+
+
+def resolve_escalation_link(
+    sites: FederatedDatabase,
+    remote_link: Optional[RemoteLink] = None,
+    remote_links: Optional[Mapping[str, RemoteLink]] = None,
+    parallel_fanout: bool = True,
+    snapshot_ttl: Optional[float] = None,
+) -> Optional[EscalationLink]:
+    """Resolve the escalation link for a (possibly federated) database.
+
+    With a single remote the scalar *remote_link* (or the one entry of
+    *remote_links*) is used as-is, and ``None`` means the checker falls
+    back to the raw metered ``remote.snapshot`` path.  With several
+    remotes the result is always a :class:`FederationLink` — each site
+    gets its entry from *remote_links* or, when absent, a default
+    fault-free :class:`RemoteLink` wrapper; a scalar *remote_link* is
+    rejected as ambiguous.
+    """
+    remotes = sites.remotes
+    if remote_links is not None:
+        unknown = set(remote_links) - set(remotes)
+        if unknown:
+            raise ValueError(
+                f"remote_links names unknown sites: {sorted(unknown)}"
+            )
+    if len(remotes) == 1:
+        only = next(iter(remotes))
+        if remote_link is not None and remote_links:
+            raise ValueError("pass remote_link or remote_links, not both")
+        if remote_links:
+            return remote_links.get(only)
+        return remote_link
+    if remote_link is not None:
+        raise ValueError(
+            "a federated database has several remotes; pass per-site "
+            "remote_links instead of a single remote_link"
+        )
+    links = {
+        name: (remote_links or {}).get(name) or RemoteLink(site)
+        for name, site in remotes.items()
+    }
+    return FederationLink(
+        links,
+        sites.site_of,
+        parallel=parallel_fanout,
+        snapshot_ttl=snapshot_ttl,
+    )

@@ -1,17 +1,15 @@
-"""Protocol statistics shared by the distributed checkers.
+"""Protocol statistics of the distributed checker.
 
-:class:`ProtocolStats` is the one counter surface both
-:class:`~repro.distributed.checker.DistributedChecker` and
-:class:`~repro.distributed.sharded.ShardedChecker` report through, and
-:func:`sync_session_gauges` is the one place the cumulative session /
-compiler / link gauges get mirrored into it — extracted here so the two
-checkers cannot drift apart in how they fold the same numbers.
+:class:`ProtocolStats` is the counter surface
+:class:`~repro.distributed.checker.DistributedChecker` reports through,
+and :func:`sync_session_gauges` is the one place the cumulative session
+/ compiler / link gauges get mirrored into it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.core.outcomes import CheckLevel, CheckReport, Outcome
 from repro.core.session import CheckSession
@@ -168,9 +166,7 @@ class ProtocolStats:
     def record_reports(
         self, reports: list[CheckReport], apply_on_unknown: bool = True
     ) -> None:
-        """Fold one update's final reports into the counters (shared by
-        :class:`~repro.distributed.checker.DistributedChecker` and
-        :class:`~repro.distributed.sharded.ShardedChecker`)."""
+        """Fold one update's final reports into the counters."""
         if any(report.outcome is Outcome.VIOLATED for report in reports):
             self.rejected += 1
         elif any(report.outcome is Outcome.DEFERRED for report in reports):
@@ -210,27 +206,24 @@ _SESSION_GAUGES = (
 
 def sync_session_gauges(
     stats: ProtocolStats,
-    sessions: Iterable[Optional[CheckSession]],
+    sessions: Iterable[CheckSession],
     compiler,
     remote_link=None,
 ) -> None:
     """Mirror the cumulative session/compiler/link gauges into *stats*.
 
-    Session gauges are *summed* across the given sessions — a single
-    session for :class:`~repro.distributed.checker.DistributedChecker`,
-    one per shard for
-    :class:`~repro.distributed.sharded.ShardedChecker`; they are
-    cumulative gauges, not per-call increments, so the copy is a
-    wholesale overwrite.  *remote_link* may be a single
+    Session gauges are *summed* across the given sessions (one per
+    shard); they are cumulative gauges, not per-call increments, so the
+    copy is a wholesale overwrite.  *remote_link* may be a single
     :class:`~repro.distributed.remote.RemoteLink` or a
     :class:`~repro.distributed.remote.FederationLink` — both expose a
     ``stats`` aggregate with the mirrored fields (the federation's is
     the sum over its site links)."""
-    live = [session for session in sessions if session is not None]
-    if live:
+    sessions = list(sessions)
+    if sessions:
         for gauge in _SESSION_GAUGES:
             setattr(
-                stats, gauge, sum(getattr(s.stats, gauge) for s in live)
+                stats, gauge, sum(getattr(s.stats, gauge) for s in sessions)
             )
     info = compiler.level1_cache_info()
     stats.level1_cache_hits = info["hits"]

@@ -107,10 +107,10 @@ class RecoveredState:
     #: these under-count by at most one checkpoint interval
     session_stats: list[dict] = field(default_factory=list)
     #: per-shard pending-queue descriptors as of the checkpoint (shard
-    #: order); ``None`` for unsharded manifests and pre-PR-9 journals
+    #: order); ``None`` for older manifests written without the split
     shard_pending: Optional[list[list[dict]]] = None
     #: per-shard arrival-clock cells (the seq last stamped on each
-    #: shard); ``None`` when the manifest predates them or is unsharded
+    #: shard); ``None`` when the manifest predates them
     shard_seq: Optional[list[int]] = None
     #: per-shard worker-restart counters (process executor), so a
     #: resumed run's supervision budget carries over; ``None`` otherwise

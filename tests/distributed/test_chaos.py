@@ -21,7 +21,6 @@ from repro.distributed.faults import (
 from repro.distributed.rebalance import RebalancePolicy
 from repro.distributed.remote import FetchPolicy, RemoteLink
 from repro.distributed.sharded import KeyRangePartitioner, ShardedChecker
-from repro.distributed.site import Site, TwoSiteDatabase
 from repro.errors import InjectedCrash, ReproError
 from repro.updates.update import Insertion
 

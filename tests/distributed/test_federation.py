@@ -3,8 +3,8 @@ classification, partial-recovery drain, and N=2 legacy equivalence.
 
 The refactor's contract has three legs:
 
-* :class:`FederatedDatabase` generalizes the two-site model — the
-  :class:`TwoSiteDatabase` shim must behave exactly as before;
+* :class:`FederatedDatabase` generalizes the two-site model — one
+  local site plus a single remote must behave exactly as before;
 * :class:`FederationLink` fans an escalation out across per-site links,
   attributes partial failures to the sites that caused them, and (when
   enabled) serves repeat escalations from a bounded-staleness snapshot
@@ -20,10 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.core.compiler import ConstraintCompiler
 from repro.core.outcomes import Outcome
-from repro.distributed.checker import (
-    DistributedChecker,
-    resolve_escalation_link,
-)
+from repro.distributed.checker import DistributedChecker
 from repro.distributed.faults import FaultModel, UnreliableRemote
 from repro.distributed.remote import (
     BreakerState,
@@ -31,9 +28,10 @@ from repro.distributed.remote import (
     FetchPolicy,
     RemoteFetchInFlight,
     RemoteLink,
+    resolve_escalation_link,
 )
 from repro.distributed.sharded import ShardedChecker
-from repro.distributed.site import FederatedDatabase, Site, TwoSiteDatabase
+from repro.distributed.site import FederatedDatabase, Site
 from repro.distributed.workload import federated_workload
 from repro.errors import RemoteUnavailableError
 from repro.updates.update import Insertion
@@ -124,12 +122,11 @@ class TestFederatedDatabase:
         assert merged.facts("salFloor")
 
     def test_two_site_shim(self):
-        sites = TwoSiteDatabase(
+        # The classic two-site split is a one-remote federation.
+        sites = FederatedDatabase(
             local=Site("local", {"emp": [("a", "d", 1)]}),
-            remote=Site("remote", {"closedDept": [("x",)]}),
+            remotes=[Site("remote", {"closedDept": [("x",)]})],
         )
-        assert isinstance(sites, FederatedDatabase)
-        assert sites.remote is sites.remotes["remote"]
         assert sites.site_names == ("remote",)
         assert sites.site_of("closedDept") == "remote"
         assert sites.site_of("emp") is None
@@ -335,11 +332,11 @@ class TestFederationLink:
 
 class TestResolveEscalationLink:
     def test_single_remote_preserves_the_scalar_link(self):
-        sites = TwoSiteDatabase(
+        sites = FederatedDatabase(
             local=Site("local", {"emp": []}),
-            remote=Site("remote", {"closedDept": []}),
+            remotes=[Site("remote", {"closedDept": []})],
         )
-        link = RemoteLink(sites.remote)
+        link = RemoteLink(sites.remotes["remote"])
         assert resolve_escalation_link(sites, remote_link=link) is link
         assert resolve_escalation_link(sites) is None
         assert resolve_escalation_link(
@@ -493,10 +490,10 @@ class TestFederatedVerdictEquivalence:
                 merged_tables.setdefault(predicate, []).extend(
                     contents.facts(predicate)
                 )
-        merged = TwoSiteDatabase(
+        merged = FederatedDatabase(
             local=Site("local", workload.sites.local.unmetered()
                        .restricted_to({"emp"})),
-            remote=Site("remote", merged_tables),
+            remotes=[Site("remote", merged_tables)],
         )
         merged_checker = DistributedChecker(workload.constraints, merged)
         merged_results = merged_checker.check_stream(list(workload.updates))
@@ -539,17 +536,21 @@ def n2_updates(seed):
 
 def n2_build(federated, fault_rate, seed, shards, parallelism, overlap,
              pessimistic):
-    sites = TwoSiteDatabase(
+    sites = FederatedDatabase(
         local=Site("local", {"emp": [("ann", "toys", 50)]}),
-        remote=Site(
-            "remote",
-            {"closedDept": [("mines",)],
-             "salFloor": [("toys", 40), ("mines", 10)]},
-        ),
+        remotes=[
+            Site(
+                "remote",
+                {"closedDept": [("mines",)],
+                 "salFloor": [("toys", 40), ("mines", 10)]},
+            )
+        ],
     )
     scalar = RemoteLink(
-        UnreliableRemote(sites.remote, FaultModel(failure_rate=fault_rate,
-                                                  seed=seed)),
+        UnreliableRemote(
+            sites.remotes["remote"],
+            FaultModel(failure_rate=fault_rate, seed=seed),
+        ),
         FetchPolicy(max_attempts=2, failure_threshold=3, cooldown_fetches=1),
         seed=seed,
     )

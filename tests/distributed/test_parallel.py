@@ -32,7 +32,7 @@ from repro.distributed.sharded import (
     PredicatePartitioner,
     ShardedChecker,
 )
-from repro.distributed.site import Site, TwoSiteDatabase
+from repro.distributed.site import FederatedDatabase, Site
 from repro.errors import RemoteUnavailableError
 from repro.updates.update import Deletion, Insertion, Modification
 
@@ -75,9 +75,9 @@ KEY_LOCAL = {"hot", "b"}
 
 
 def make_sites(local_predicates=LOCAL):
-    return TwoSiteDatabase(
+    return FederatedDatabase(
         local=Site("local", {pred: [] for pred in local_predicates}),
-        remote=Site("remote", {"rem": [(99,), (3,)]}),
+        remotes=[Site("remote", {"rem": [(99,), (3,)]})],
         local_predicates=local_predicates,
     )
 
@@ -277,7 +277,7 @@ class TestKeyAlignedSplit:
             KEY_CONSTRAINTS, KEY_LOCAL, local_db=sites.local.unmetered()
         )
         expected = [
-            verdict_key(session.process(u, remote=sites.remote.snapshot))
+            verdict_key(session.process(u, remote=sites.remotes["remote"].snapshot))
             for u in updates
         ]
         checker = self.make_checker()
@@ -480,12 +480,12 @@ class TestOverlappedEscalation:
     drain settles from the future only once it has completed."""
 
     def make_checker(self, remote, **link_kwargs):
-        sites = TwoSiteDatabase(
+        sites = FederatedDatabase(
             local=Site("local", {pred: [] for pred in LOCAL}),
-            remote=Site("remote", {"rem": [(99,), (3,)]}),
+            remotes=[Site("remote", {"rem": [(99,), (3,)]})],
             local_predicates=LOCAL,
         )
-        wrapped = remote(sites.remote)
+        wrapped = remote(sites.remotes["remote"])
         link = RemoteLink(wrapped, **link_kwargs)
         checker = ShardedChecker(
             CONSTRAINTS, sites, shards=2,
@@ -590,12 +590,12 @@ class TestOverlappedEscalation:
         ]
 
         def run(overlap):
-            sites = TwoSiteDatabase(
+            sites = FederatedDatabase(
                 local=Site("local", {pred: [] for pred in LOCAL}),
-                remote=Site("remote", {"rem": [(99,), (3,)]}),
+                remotes=[Site("remote", {"rem": [(99,), (3,)]})],
                 local_predicates=LOCAL,
             )
-            link = RemoteLink(sites.remote)
+            link = RemoteLink(sites.remotes["remote"])
             checker = DistributedChecker(
                 CONSTRAINTS, sites, remote_link=link, overlap_remote=overlap
             )

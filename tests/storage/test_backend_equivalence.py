@@ -17,7 +17,7 @@ from repro.constraints.constraint import Constraint, ConstraintSet
 from repro.distributed.checker import DistributedChecker
 from repro.distributed.faults import FaultModel, UnreliableRemote
 from repro.distributed.remote import FetchPolicy, RemoteLink
-from repro.distributed.site import Site, TwoSiteDatabase
+from repro.distributed.site import FederatedDatabase, Site
 from repro.storage import SQLiteBackend
 from repro.updates.update import Deletion, Insertion, Modification
 
@@ -33,9 +33,9 @@ LOCAL = {"p", "q", "s"}
 
 
 def make_sites(backend=None):
-    return TwoSiteDatabase(
+    return FederatedDatabase(
         local=Site("local", {pred: [] for pred in LOCAL}, backend=backend),
-        remote=Site("remote", {"rem": [(99,), (3,)]}),
+        remotes=[Site("remote", {"rem": [(99,), (3,)]})],
         local_predicates=LOCAL,
     )
 
@@ -44,7 +44,7 @@ def build_checker(backend, apply_on_unknown, flaky):
     sites = make_sites(backend)
     faults = FaultModel(failure_rate=1.0 if flaky else 0.0)
     link = RemoteLink(
-        UnreliableRemote(sites.remote, faults),
+        UnreliableRemote(sites.remotes["remote"], faults),
         FetchPolicy(max_attempts=2, failure_threshold=4, cooldown_fetches=1),
     )
     checker = DistributedChecker(
@@ -91,8 +91,8 @@ def run_both(updates, apply_on_unknown, flaky):
                 "verdicts": verdicts,
                 "drained": drained,
                 "pending": checker.pending_count,
-                "state": db_state(checker.session.local_db),
-                "session_stats": checker.session.stats.to_dict(),
+                "state": db_state(checker.sessions[0].local_db),
+                "session_stats": checker.sessions[0].stats.to_dict(),
                 "protocol_stats": checker.stats.to_dict(),
             }
         )
@@ -130,7 +130,7 @@ class TestDirected:
         checker, _ = build_checker(SQLiteBackend(), True, False)
         for value in range(6):
             checker.process(Insertion("q", (value, value + 10)))
-        assert checker.session.local_db.pushdown_tests > 0
+        assert checker.sessions[0].local_db.pushdown_tests > 0
 
 
 try:

@@ -272,6 +272,60 @@ class TestCommands:
         assert code == 0
         assert "applied" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra", [[], ["--shards", "2"]])
+    def test_check_stream_rejects_non_local_update(
+        self, constraint_file, db_file, tmp_path, capsys, extra
+    ):
+        # dept is remote under --local emp: updating it is an input error,
+        # reported before any update is processed.
+        stream = tmp_path / "stream.txt"
+        stream.write_text("+emp(bob, toys, 60)\n+dept(books)\n")
+        code = main(
+            [
+                "check-stream", constraint_file, "--db", db_file,
+                "--updates", str(stream), "--local", "emp", *extra,
+            ]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            line for line in captured.err.splitlines()
+            if line.startswith("error:")
+        ]
+        assert len(captured.err.splitlines()) == 1
+        assert "'dept'" in captured.err and "not a local predicate" in captured.err
+
+    @pytest.mark.parametrize(
+        "extra", [["--parallel", "2"], ["--executor", "process"]]
+    )
+    def test_scheduling_flags_compose_at_one_shard(
+        self, constraint_file, db_file, tmp_path, capsys, extra
+    ):
+        stream = tmp_path / "stream.txt"
+        stream.write_text(
+            "+emp(bob, toys, 60)\n"
+            "~emp(ann, toys, 50)->(ann, toys, 55)\n"
+            "+emp(cal, toys, 500)\n"
+            "+emp(dan, books, 70)\n"
+            "-emp(bob, toys, 60)\n"
+        )
+        base = [
+            "check-stream", constraint_file, "--db", db_file,
+            "--updates", str(stream), "--local", "emp", "-v",
+        ]
+
+        def verdict_lines():
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines() if line[:1] in "+-~ "
+                    and line.strip()]
+
+        assert main(base) == 1
+        plain = verdict_lines()
+        assert main(base + extra) == 1
+        assert verdict_lines() == plain
+        assert len(plain) > 5
+
     def test_check_stream_batched(self, tmp_path, capsys):
         constraints = tmp_path / "uniq.dl"
         constraints.write_text("%% uniq\npanic :- tag(X, A) & tag(X, B) & A < B\n")
@@ -475,7 +529,7 @@ class TestExecutorAndRebalanceFlags:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            (["--executor", "process"], "needs --shards"),
+            (["--rebalance"], "needs --shards and --shard-by"),
             (
                 ["--shards", "2", "--executor", "process", "--overlap-remote"],
                 "thread executor",
@@ -485,6 +539,9 @@ class TestExecutorAndRebalanceFlags:
                 ["--shards", "2", "--shard-by", "hot=50", "--rebalance", "0"],
                 ">= 1",
             ),
+            (["--shards", "2", "--transaction"], "one in-process shard"),
+            (["--executor", "process", "--transaction"], "one in-process shard"),
+            (["--shard-by", "hot=50"], "needs 0 boundaries for 1 shards"),
         ],
     )
     def test_invalid_combinations_exit_3(self, tmp_path, capsys, extra, message):
